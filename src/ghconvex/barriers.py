@@ -79,7 +79,7 @@ def _as_points(xs) -> np.ndarray:
 
 def sphere_hyp_margin_batch(config: PointConfiguration, xs) -> np.ndarray:
     xs = _as_points(xs)
-    vals, grads, _ = phi_jet_batch(config, xs)
+    vals, grads, _ = phi_jet_batch(config, xs, 1)
     return np.einsum("nj,nj->n", grads, xs) + 4.0 * vals
 
 
@@ -113,7 +113,7 @@ def cylinder_hyp_margin_batch(config: PointConfiguration, xs, axis=((0.0, 0.0, 0
     if np.any(r <= 1e-12 * (1.0 + np.linalg.norm(rel, axis=1))):
         raise OnAxis("point lies on the cylinder axis")
     nu_out = rho / r[:, None]
-    vals, grads, _ = phi_jet_batch(config, xs)
+    vals, grads, _ = phi_jet_batch(config, xs, 1)
     return np.einsum("nj,nj->n", grads, nu_out) + 2.0 * vals / r
 
 
@@ -131,7 +131,7 @@ def plane_hyp_margin_batch(config: PointConfiguration, xs, direction) -> np.ndar
     if d.shape != (3,) or n < 1e-12:
         raise InvalidParams("direction must be a nonzero 3-vector")
     d = d / n
-    _, grads, _ = phi_jet_batch(config, xs)
+    _, grads, _ = phi_jet_batch(config, xs, 1)
     return -grads @ d
 
 
@@ -144,7 +144,7 @@ def plane_hyp_margin(config: PointConfiguration, x, direction) -> float:
 
 def sphere_codim2_margins_batch(config: PointConfiguration, xs) -> tuple[np.ndarray, np.ndarray]:
     xs = _as_points(xs)
-    vals, grads, _ = phi_jet_batch(config, xs)
+    vals, grads, _ = phi_jet_batch(config, xs, 1)
     gx = np.einsum("nj,nj->n", grads, xs)
     minor1 = gx + 2.0 * vals
     det_aux = (grads ** 2).sum(axis=1) + 2.0 * vals * gx / (xs ** 2).sum(axis=1)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import InvalidK, InvalidParams, NotSymmetric, TooFewSamples
-from .potential import PointConfiguration
+from .potential import CHUNK, PointConfiguration, jet
 from .surfaces import (
     BarrierSurface,
     MultiFociEllipsoid,
@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 MARGIN_TOL = 1e-9  # relative to ||S||: below this a verdict is Inconclusive
+# eigvals3_batch sends rows with 1 - |r| below this to LAPACK; above it the
+# arccos form's error, ~eps / sqrt(1 - |r|), stays near 1e-13 ||S||
+CLUSTER_TOL = 1e-6
 
 
 def _check_symmetric(S: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -52,35 +55,12 @@ def _check_symmetric(S: np.ndarray, what: str = "matrix") -> np.ndarray:
     return S
 
 
-def _jacobi_eigvals3(S: np.ndarray) -> np.ndarray:
-    """Cyclic Jacobi rotations; exact for the near-degenerate spectra where
-    the trigonometric form loses digits."""
-    A = np.array(S, dtype=float)
-    for _ in range(30):
-        off = abs(A[0, 1]) + abs(A[0, 2]) + abs(A[1, 2])
-        if off < 1e-15 * (1.0 + abs(A[0, 0]) + abs(A[1, 1]) + abs(A[2, 2])):
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = A[p, q]
-            if apq == 0.0:
-                continue
-            theta = 0.5 * (A[q, q] - A[p, p]) / apq
-            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-            c = 1.0 / math.hypot(1.0, t)
-            s = t * c
-            R = np.eye(3)
-            R[p, p] = R[q, q] = c
-            R[p, q] = s
-            R[q, p] = -s
-            A = R.T @ A @ R
-    return np.sort(np.diag(A))
-
-
 def eigvals3_batch(S: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of symmetric (N, 3, 3) input, shape (N, 3).
 
     Trigonometric closed form; rows whose characteristic discriminant is
-    near zero (clustered eigenvalues, |r| -> 1) fall back to Jacobi.
+    near zero (clustered eigenvalues, |r| -> 1), where the arccos loses
+    digits, go to LAPACK in one call.
     """
     S = np.asarray(S, dtype=float)
     single = S.ndim == 2
@@ -112,11 +92,10 @@ def eigvals3_batch(S: np.ndarray) -> np.ndarray:
     out[:, 1] = mid
     out[:, 2] = hi
     out[diag_like] = q[diag_like, None]
-    # In exact arithmetic |detb/2| <= 1; rows clamped at the boundary have a
-    # (near-)repeated eigenvalue and get the Jacobi treatment instead.
-    clustered = (~diag_like) & (1.0 - np.abs(r) < 1e-9)
-    for i in np.nonzero(clustered)[0]:
-        out[i] = _jacobi_eigvals3(S[i])
+    # In exact arithmetic |detb/2| <= 1; rows near the boundary have a
+    # (near-)repeated eigenvalue and get the LAPACK treatment instead.
+    clustered = (~diag_like) & (1.0 - np.abs(r) < CLUSTER_TOL)
+    out[clustered] = np.linalg.eigvalsh(S[clustered])
     return out[0] if single else out
 
 
@@ -228,7 +207,10 @@ class ConvexityReport:
         }
 
 
-def _scan_params(surface: BarrierSurface, sampling: ScanSampling) -> np.ndarray:
+def _scan_params(surface: BarrierSurface, sampling: ScanSampling) -> Iterator[np.ndarray]:
+    """Chart samples CHUNK rows at a time: the cell-midpoint grid in
+    row-major order, then the seeded uniform draws (one stream across
+    chunks, so chunking leaves them unchanged)."""
     (lo0, hi0), (lo1, hi1) = chart_domain(surface)
     g0, g1 = sampling.grid
     if g0 < 1 or g1 < 1:
@@ -236,17 +218,18 @@ def _scan_params(surface: BarrierSurface, sampling: ScanSampling) -> np.ndarray:
     # cell midpoints: stays strictly inside open chart boxes
     p0 = lo0 + (hi0 - lo0) * (np.arange(g0) + 0.5) / g0
     p1 = lo1 + (hi1 - lo1) * (np.arange(g1) + 0.5) / g1
-    P = np.stack(np.meshgrid(p0, p1, indexing="ij"), axis=-1).reshape(-1, 2)
-    if sampling.random > 0:
-        rng = np.random.default_rng(sampling.seed)
-        R = rng.random((sampling.random, 2))
+    n_grid = g0 * g1
+    n = n_grid + max(sampling.random, 0)
+    rng = np.random.default_rng(sampling.seed)
+    # keep polar angles off the chart poles
+    eps1 = 1e-9 * (hi1 - lo1)
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        i = np.arange(lo, min(hi, n_grid))
+        R = rng.random((max(0, hi - max(lo, n_grid)), 2))
         R[:, 0] = lo0 + (hi0 - lo0) * R[:, 0]
-        R[:, 1] = lo1 + (hi1 - lo1) * R[:, 1]
-        # keep polar angles off the chart poles
-        eps1 = 1e-9 * (hi1 - lo1)
-        R[:, 1] = np.clip(R[:, 1], lo1 + eps1, hi1 - eps1)
-        P = np.vstack([P, R])
-    return P
+        R[:, 1] = np.clip(lo1 + (hi1 - lo1) * R[:, 1], lo1 + eps1, hi1 - eps1)
+        yield np.vstack([np.column_stack([p0[i // g1], p1[i % g1]]), R])
 
 
 def convexity_scan(
@@ -263,7 +246,10 @@ def convexity_scan(
     more than 50% skipped raises TooFewSamples.  The verdict applies
     MARGIN_TOL relative to each sample's Frobenius norm: StrictlyConvex when
     every margin clears +tol*scale, Violated when any falls below
-    -tol*scale, Inconclusive otherwise.
+    -tol*scale, Inconclusive otherwise.  Samples go CHUNK at a time through
+    surface data, one order-1 jet pass (its nearest-centre distance is the
+    exclusion check), the lift and the eigensum: memory does not grow with
+    the sample count unless keep_samples asks for the table.
     """
     if k not in (1, 2, 3):
         raise InvalidK(f"k must be 1, 2 or 3, got {k}")
@@ -273,37 +259,46 @@ def convexity_scan(
             raise InvalidParams(
                 "plane must strictly separate the centres from its normal side"
             )
-    P = _scan_params(surface, sampling)
-    X, U, V, NU, SFF, _ = surface_data_batch(surface, P)
-    ok = config.min_centre_distance(X) > config.exclusion_radius
-    skipped = int((~ok).sum())
-    requested = P.shape[0]
-    if requested - skipped < 0.5 * requested:
+    best = (math.inf, None, None)           # first minimum wins, as np.argmin
+    samples = skipped = 0
+    violated, strict = False, True
+    tables = []
+    for P in _scan_params(surface, sampling):
+        X, U, V, NU, SFF, _ = surface_data_batch(surface, P)
+        dmin, _, vals, grads, _ = jet(config.mass, config.points, config.multiplicities, X, 1)
+        ok = dmin > config.exclusion_radius
+        P, X = P[ok], X[ok]
+        S = lifted_sff_batch(config, X, U[ok], V[ok], NU[ok], SFF[ok], jet=(vals[ok], grads[ok]))
+        margins = _eigensum_batch(S, k)
+        scales = np.sqrt((S ** 2).sum(axis=(1, 2)))
+        tol = MARGIN_TOL * scales
+        violated = violated or bool(np.any(margins < -tol))
+        strict = strict and bool(np.all(margins > tol))
+        if margins.size:
+            i = int(np.argmin(margins))
+            if margins[i] < best[0]:
+                best = (float(margins[i]), P[i].copy(), X[i].copy())
+        samples += margins.size
+        skipped += int((~ok).sum())
+        if keep_samples:
+            tables.append(np.column_stack([P, X, margins, scales]))
+    if samples < skipped:
         raise TooFewSamples(
-            f"{skipped} of {requested} samples fell inside exclusion radii"
+            f"{skipped} of {samples + skipped} samples fell inside exclusion radii"
         )
-    P, X, U, V, NU, SFF = P[ok], X[ok], U[ok], V[ok], NU[ok], SFF[ok]
-    S = lifted_sff_batch(config, X, U, V, NU, SFF)
-    margins = _eigensum_batch(S, k)
-    scales = np.sqrt((S ** 2).sum(axis=(1, 2)))
-    i = int(np.argmin(margins))
-    tol = MARGIN_TOL * scales
-    if np.any(margins < -tol):
+    if violated:
         verdict = "Violated"
-    elif np.all(margins > tol):
+    elif strict:
         verdict = "StrictlyConvex"
     else:
         verdict = "Inconclusive"
-    table = None
-    if keep_samples:
-        table = np.column_stack([P, X, margins, scales])
     return ConvexityReport(
         k=k,
-        min_eigensum=float(margins[i]),
-        argmin_params=P[i].copy(),
-        argmin_x=X[i].copy(),
-        samples=int(margins.size),
+        min_eigensum=best[0],
+        argmin_params=best[1],
+        argmin_x=best[2],
+        samples=samples,
         skipped=skipped,
         verdict=verdict,
-        samples_table=table,
+        samples_table=np.vstack(tables) if keep_samples else None,
     )

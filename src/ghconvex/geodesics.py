@@ -18,7 +18,7 @@ from scipy.optimize import linprog
 
 from .convexity import eigvals3_batch
 from .errors import InvalidIndex
-from .potential import PointConfiguration, raw_jet
+from .potential import PointConfiguration, jet
 
 __all__ = [
     "CriticalPoint",
@@ -78,11 +78,11 @@ def gradient_scale(config: PointConfiguration, xs: np.ndarray) -> np.ndarray:
 
     Residuals are meaningful relative to this cancellation scale.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    d = np.linalg.norm(xs[:, None, :] - config.points[None, :, :], axis=2)
-    c = config.multiplicities.astype(float)
-    with np.errstate(divide="ignore"):
-        return 0.5 * (c[None, :] / d ** 2).sum(axis=1)
+    return _jet(config, xs, 0)[1]
+
+
+def _jet(config: PointConfiguration, xs: np.ndarray, order: int):
+    return jet(config.mass, config.points, config.multiplicities, xs, order)
 
 
 def in_convex_hull(points: np.ndarray, x: Sequence[float], tol: float) -> bool:
@@ -133,22 +133,17 @@ def _newton_batch(config: PointConfiguration, seeds: np.ndarray) -> np.ndarray:
     done: list[np.ndarray] = []
 
     def residuals(pts: np.ndarray) -> np.ndarray:
-        out = np.full(pts.shape[0], np.inf)
-        dmin = config.min_centre_distance(pts)
-        finite = np.all(np.isfinite(pts), axis=1)
-        ok = finite & (dmin > delta) & (np.linalg.norm(pts - centre_mid, axis=1) < bound)
-        if np.any(ok):
-            _, grads, _ = raw_jet(config.mass, config.points, config.multiplicities, pts[ok])
-            out[ok] = np.linalg.norm(grads, axis=1)
-        return out
+        # non-finite rows fail the bound test (inf or nan distance)
+        dmin, _, _, grads, _ = _jet(config, pts, 1)
+        ok = (dmin > delta) & (np.linalg.norm(pts - centre_mid, axis=1) < bound)
+        return np.where(ok, np.linalg.norm(grads, axis=1), np.inf)
 
     for _ in range(80):
         if not np.any(active):
             break
         pts = X[active]
-        _, grads, hesss = raw_jet(config.mass, config.points, config.multiplicities, pts)
+        _, scale, _, grads, hesss = _jet(config, pts, 2)
         res = np.linalg.norm(grads, axis=1)
-        scale = gradient_scale(config, pts)
         conv = res <= 1e-12 * scale
         if np.any(conv):
             done.append(pts[conv])
@@ -178,15 +173,9 @@ def _newton_batch(config: PointConfiguration, seeds: np.ndarray) -> np.ndarray:
             improved[sel[better]] = True
             alpha[sel[~better]] *= 0.5
         X[alive] = trial
-        # seeds that cannot decrease the residual any more are dropped
-        stuck = alive[~improved]
-        if stuck.size:
-            # keep points already essentially converged, drop the rest
-            keep = res[~improved] <= 1e-12 * gradient_scale(config, pts[~improved])
-            kept = pts[~improved][keep]
-            if kept.size:
-                done.append(kept)
-            active[stuck] = False
+        # seeds that cannot decrease the residual any more are dropped (none
+        # of them is converged: those left the batch above)
+        active[alive[~improved]] = False
     if done:
         pts = np.vstack([d for d in done if d.size])
     else:
@@ -229,9 +218,9 @@ def find_critical_points(
         return []
 
     # final filter at the contract tolerance
-    _, grads, _ = raw_jet(config.mass, config.points, config.multiplicities, converged)
+    _, scale, _, grads, _ = _jet(config, converged, 1)
     res = np.linalg.norm(grads, axis=1)
-    ok = res <= RESIDUAL_TOL * gradient_scale(config, converged)
+    ok = res <= RESIDUAL_TOL * scale
     converged, res = converged[ok], res[ok]
     if converged.shape[0] == 0:
         return []
@@ -253,9 +242,7 @@ def find_critical_points(
 
     hull_tol = HULL_TOL * (1.0 + config.diameter)
     cluster_tol = CLUSTER_SCALE * max(config.diameter, 1e-30)
-    vals, grads, hesss = raw_jet(
-        config.mass, config.points, config.multiplicities, reps_pts
-    )
+    _, _, vals, grads, hesss = _jet(config, reps_pts, 2)
     lam = eigvals3_batch(hesss)
     out = []
     for idx in range(reps_pts.shape[0]):

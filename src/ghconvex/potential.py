@@ -5,9 +5,9 @@ The potential is
     phi(x) = m + sum_i c_i / (2 |x - p_i|)
 
 with constant mass term m >= 0, distinct centres p_i in R^3 and integer
-multiplicities c_i >= 1.  ``phi_jet`` returns the 2-jet (value, gradient,
-Hessian); everything downstream (frames, second fundamental forms, margins,
-curvature) is built from that jet.
+multiplicities c_i >= 1.  ``jet`` is the one kernel evaluating its 2-jet, and
+``phi_jet``/``phi_jet_batch`` add the exclusion check; everything downstream
+(frames, second fundamental forms, margins, curvature) is built from it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ __all__ = [
     "phi_jet",
     "phi_jet_batch",
     "check_harmonic",
-    "raw_jet",
+    "jet",
     "load_config",
     "parse_config",
 ]
@@ -35,6 +35,10 @@ __all__ = [
 # Relative exclusion radius around each centre; evaluation closer than
 # delta = EXCLUSION_SCALE * (1 + diameter) raises SingularPoint.
 EXCLUSION_SCALE = 1e-9
+
+# Rows per pass of the jet kernel (and of convexity_scan): bounds the
+# (rows, centres) temporaries independently of the sample count.
+CHUNK = 2048
 
 
 def _as_point(p: Any) -> np.ndarray:
@@ -120,11 +124,7 @@ class PointConfiguration:
 
     def min_centre_distance(self, xs: np.ndarray) -> np.ndarray:
         """Distance from each row of xs to the nearest centre (inf if none)."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if self.k == 0:
-            return np.full(xs.shape[0], np.inf)
-        d = np.linalg.norm(xs[:, None, :] - self.points[None, :, :], axis=2)
-        return d.min(axis=1)
+        return jet(self.mass, self.points, self.multiplicities, xs, 0)[0]
 
     def to_dict(self) -> dict:
         return {
@@ -161,58 +161,72 @@ class PotentialJet:
         return float(np.trace(self.hessian))
 
 
-def raw_jet(
+def jet(
     mass: float,
     points: np.ndarray,
     multiplicities: np.ndarray,
     xs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jet of m + sum c_i/(2|x - p_i|) at each row of xs, no validation.
+    order: int = 2,
+) -> tuple:
+    """Jet of m + sum c_i/(2|x - p_i|) at each row of xs, in one pass.
 
-    Low-level summation shared by phi_jet and the stability module (whose
-    satellite-only potential may legitimately be identically zero).  Returns
-    (values (N,), gradients (N, 3), Hessians (N, 3, 3)).  Singular rows
-    produce inf/nan rather than raising; callers filter.
+    Returns (dmin, scale, values, gradients, Hessians): nearest-centre
+    distance (inf without centres), gradient scale sum c_i/(2|x - p_i|^2),
+    phi (N,), grad phi (N, 3) from order 1 and Hess phi (N, 3, 3) at order
+    2, else None.  No validation (the stability module's satellite-only
+    potential may be identically zero): singular rows give inf/nan and
+    callers filter on dmin.  Rows go CHUNK at a time.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     n = xs.shape[0]
+    dmin = np.empty(n)
+    scale = np.empty(n)
     vals = np.full(n, float(mass))
-    grads = np.zeros((n, 3))
-    hesss = np.zeros((n, 3, 3))
-    if points.shape[0] == 0:
-        return vals, grads, hesss
-    diff = xs[:, None, :] - points[None, :, :]           # (N, k, 3)
-    r2 = (diff ** 2).sum(axis=2)                          # (N, k)
-    r = np.sqrt(r2)
+    grads = np.empty((n, 3)) if order >= 1 else None
+    hesss = np.empty((n, 3, 3)) if order >= 2 else None
     c = np.asarray(multiplicities, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv_r = 1.0 / r
-        inv_r3 = inv_r ** 3
-        inv_r5 = inv_r3 * inv_r * inv_r
-        vals = vals + 0.5 * (c * inv_r).sum(axis=1)
-        grads = -0.5 * np.einsum("k,nk,nkj->nj", c, inv_r3, diff)
-        # Hessian of c/(2r): (c/2) * (3 d d^T / r^5 - I / r^3)
-        outer = np.einsum("nki,nkj->nkij", diff, diff)
-        hesss = 1.5 * np.einsum("k,nk,nkij->nij", c, inv_r5, outer)
-        hesss -= 0.5 * np.einsum("k,nk->n", c, inv_r3)[:, None, None] * np.eye(3)
-    return vals, grads, hesss
+        for lo in range(0, n, CHUNK):
+            s = slice(lo, lo + CHUNK)
+            # component-major (rows, k) blocks: contiguous row reductions
+            d = [xs[s, j, None] - points[:, j] for j in range(3)]
+            r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+            dmin[s] = np.sqrt(r2.min(axis=1, initial=np.inf))
+            inv_r = 1.0 / np.sqrt(r2)
+            w = c * inv_r                                   # c / r
+            vals[s] += 0.5 * w.sum(axis=1)
+            scale[s] = 0.5 * np.einsum("nk,nk->n", w, inv_r)
+            if order >= 1:
+                w *= inv_r * inv_r                          # c / r^3
+                for i in range(3):
+                    grads[s, i] = -0.5 * np.einsum("nk,nk->n", w, d[i])
+            if order >= 2:
+                # Hessian of c/(2r): (c/2) (3 d d^T / r^5 - I / r^3), entry by entry
+                w5 = w * inv_r * inv_r
+                trace_part = 0.5 * w.sum(axis=1)
+                for i in range(3):
+                    wd = w5 * d[i]
+                    for j in range(i, 3):
+                        hesss[s, i, j] = hesss[s, j, i] = 1.5 * np.einsum("nk,nk->n", wd, d[j])
+                    hesss[s, i, i] -= trace_part
+    return dmin, scale, vals, grads, hesss
 
 
-def phi_jet_batch(config: PointConfiguration, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized phi_jet over rows of xs; raises SingularPoint if any row
-    is within the exclusion radius of a centre."""
+def phi_jet_batch(config: PointConfiguration, xs: np.ndarray, order: int = 2) -> tuple:
+    """Vectorized phi_jet over rows of xs: (values, gradients, Hessians), the
+    last two None above ``order``.  Raises SingularPoint if any row is
+    within the exclusion radius of a centre."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if not np.all(np.isfinite(xs)):
         raise InvalidParams("evaluation points must be finite")
-    if config.k:
-        dmin = config.min_centre_distance(xs)
-        bad = dmin <= config.exclusion_radius
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise SingularPoint(
-                f"point {xs[i]} is within {config.exclusion_radius:.3e} of a centre"
-            )
-    return raw_jet(config.mass, config.points, config.multiplicities, xs)
+    dmin, _, vals, grads, hesss = jet(config.mass, config.points, config.multiplicities, xs, order)
+    bad = dmin <= config.exclusion_radius
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise SingularPoint(
+            f"point {xs[i]} is within {config.exclusion_radius:.3e} of a centre"
+        )
+    return vals, grads, hesss
 
 
 def phi_jet(config: PointConfiguration, x: Sequence[float]) -> PotentialJet:

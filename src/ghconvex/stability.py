@@ -32,7 +32,7 @@ import numpy as np
 
 from .barriers import constant_Rk
 from .errors import InvalidIndex, InvalidParams, SingularPoint
-from .potential import PointConfiguration, make_config, raw_jet
+from .potential import PointConfiguration, jet, make_config
 
 __all__ = [
     "SegmentSurface",
@@ -149,7 +149,7 @@ def gaussian_curvature_direct_batch(seg: SegmentSurface, ts) -> np.ndarray:
     K = phi_33/(2 phi^2) - (phi_3)^2/phi^3."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     seg._check_t(ts)
-    vals, grads, hesss = raw_jet(
+    _, _, vals, grads, hesss = jet(
         seg.config.mass, seg.rotated_points, seg.config.multiplicities, _axis_points(ts)
     )
     return hesss[:, 2, 2] / (2.0 * vals ** 2) - grads[:, 2] ** 2 / vals ** 3
@@ -172,7 +172,7 @@ class CurvatureSample:
 
 def _mn_arrays(seg: SegmentSurface, ts: np.ndarray):
     a = seg.a
-    vals, grads, hesss = raw_jet(
+    _, _, vals, grads, hesss = jet(
         seg.config.mass, seg.satellites, seg.satellite_multiplicities, _axis_points(ts)
     )
     pt = vals                 # phi~ on the axis

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -448,10 +448,12 @@ def lifted_sff_batch(
     V: np.ndarray,
     NU: np.ndarray,
     SFF: np.ndarray,
+    jet: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """(N, 3, 3) lifted forms; uses <u x grad, nu> = <grad, v> and
-    <v x grad, nu> = -<grad, u> for the right-handed frame."""
-    vals, grads, _ = phi_jet_batch(config, X)
+    <v x grad, nu> = -<grad, u> for the right-handed frame.  ``jet`` passes
+    (phi, grad phi) at X from a pass that already excluded the centres."""
+    vals, grads = jet if jet is not None else phi_jet_batch(config, X, 1)[:2]
     f = vals ** -0.5
     q = 0.5 / vals
     gu = np.einsum("nj,nj->n", grads, U)

@@ -1,4 +1,5 @@
-"""Shared helpers: randomized centre configurations and off-centre probes."""
+"""Shared helpers: randomized centre configurations, off-centre probes and
+the reference jet."""
 from __future__ import annotations
 
 import sys
@@ -49,3 +50,26 @@ def points_away(rng, config, n, min_dist=0.2, box=None):
         out[have:have + take] = good[:take]
         have += take
     return out
+
+
+def reference_jet(mass, points, multiplicities, xs):
+    """Jet of m + sum c_i/(2|x - p_i|) by the direct formula: (N, k, 3)
+    differences, their (N, k, 3, 3) outer products and einsum sums.  The
+    test oracle for potential.jet; returns (values, gradients, Hessians)."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    vals = np.full(xs.shape[0], float(mass))
+    if points.shape[0] == 0:
+        return vals, np.zeros((xs.shape[0], 3)), np.zeros((xs.shape[0], 3, 3))
+    diff = xs[:, None, :] - points[None, :, :]
+    r = np.sqrt((diff ** 2).sum(axis=2))
+    c = np.asarray(multiplicities, dtype=float)
+    inv_r = 1.0 / r
+    inv_r3 = inv_r ** 3
+    inv_r5 = inv_r3 * inv_r * inv_r
+    vals = vals + 0.5 * (c * inv_r).sum(axis=1)
+    grads = -0.5 * np.einsum("k,nk,nkj->nj", c, inv_r3, diff)
+    # Hessian of c/(2r): (c/2) * (3 d d^T / r^5 - I / r^3)
+    outer = np.einsum("nki,nkj->nkij", diff, diff)
+    hesss = 1.5 * np.einsum("k,nk,nkij->nij", c, inv_r5, outer)
+    hesss -= 0.5 * np.einsum("k,nk->n", c, inv_r3)[:, None, None] * np.eye(3)
+    return vals, grads, hesss

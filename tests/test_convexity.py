@@ -1,8 +1,14 @@
 """Eigenvalue sums, the sampled-plane oracle and chart-wide convexity scans."""
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import ghconvex.convexity as convexity_module
+import ghconvex.potential as potential_module
 
 from ghconvex import (
     InvalidK,
@@ -21,9 +27,11 @@ from ghconvex import (
     make_config,
     sylvester_positive,
 )
-from ghconvex.convexity import eigvals3_batch
+from ghconvex.convexity import MARGIN_TOL, eigvals3_batch
+from ghconvex.potential import CHUNK, PointConfiguration
+from ghconvex.surfaces import chart_domain, lifted_sff_batch, surface_data_batch
 
-from conftest import random_config
+from conftest import random_config, reference_jet
 
 
 def random_symmetric(rng, n):
@@ -53,6 +61,18 @@ def test_eigvals3_degenerate_spectra():
     ]
     for S in cases:
         np.testing.assert_allclose(eigvals3(S), np.linalg.eigvalsh(S), atol=1e-12)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-8, 1e-4])
+def test_eigvals3_near_repeated_spectra(gap):
+    # Q diag(lam, lam + gap, mu) Q^T against the spectrum it was built from
+    rng = np.random.default_rng(11)
+    for lam, mu in ((1.0, -2.0), (1.0, 3.0), (-0.5, 0.7), (0.0, 1.0), (5.0, -5.0)):
+        Q, R = np.linalg.qr(rng.standard_normal((200, 3, 3)))
+        Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+        S = Q @ np.diag([lam, lam + gap, mu]) @ np.swapaxes(Q, 1, 2)
+        err = np.abs(eigvals3_batch(S) - np.sort([lam, lam + gap, mu])).max(axis=1)
+        assert np.all(err <= 1e-12 * np.linalg.norm(S, axis=(1, 2)))
 
 
 def test_eigensum_definitions():
@@ -177,3 +197,119 @@ def test_scan_rejects_bad_inputs():
     tiny = 0.1 * cfg.exclusion_radius
     with pytest.raises(TooFewSamples):
         convexity_scan(cfg, Sphere(tiny), 1, ScanSampling(grid=(8, 8), random=50))
+
+
+def _reference_scan(config, surface, k, sampling):
+    """convexity_scan in one pass over all samples, with the reference jet."""
+    (lo0, hi0), (lo1, hi1) = chart_domain(surface)
+    g0, g1 = sampling.grid
+    p0 = lo0 + (hi0 - lo0) * (np.arange(g0) + 0.5) / g0
+    p1 = lo1 + (hi1 - lo1) * (np.arange(g1) + 0.5) / g1
+    P = np.stack(np.meshgrid(p0, p1, indexing="ij"), axis=-1).reshape(-1, 2)
+    R = np.random.default_rng(sampling.seed).random((sampling.random, 2))
+    R[:, 0] = lo0 + (hi0 - lo0) * R[:, 0]
+    eps1 = 1e-9 * (hi1 - lo1)
+    R[:, 1] = np.clip(lo1 + (hi1 - lo1) * R[:, 1], lo1 + eps1, hi1 - eps1)
+    P = np.vstack([P, R])
+    X, U, V, NU, SFF, _ = surface_data_batch(surface, P)
+    dmin = np.linalg.norm(X[:, None, :] - config.points[None, :, :], axis=2).min(axis=1)
+    ok = dmin > config.exclusion_radius
+    vals, grads, _ = reference_jet(config.mass, config.points, config.multiplicities, X[ok])
+    S = lifted_sff_batch(config, X[ok], U[ok], V[ok], NU[ok], SFF[ok], jet=(vals, grads))
+    lam = np.linalg.eigvalsh(S)
+    margins = lam[:, :k].sum(axis=1) if k < 3 else np.trace(S, axis1=1, axis2=2)
+    scales = np.linalg.norm(S, axis=(1, 2))
+    tol = MARGIN_TOL * scales
+    if np.any(margins < -tol):
+        verdict = "Violated"
+    elif np.all(margins > tol):
+        verdict = "StrictlyConvex"
+    else:
+        verdict = "Inconclusive"
+    return verdict, margins, scales, np.column_stack([P[ok], X[ok]]), int((~ok).sum())
+
+
+def _scan_cases():
+    """(config, surface, sampling, skipped) cases; no sample count is a
+    multiple of CHUNK."""
+    rng = np.random.default_rng(17)
+    cfg = random_config(rng, k=5, mass=1.0, box=1.5)
+    # a centre exactly on equatorial grid sample (5, 26): that sample is
+    # skipped, and its violating neighbours all lie in the first chunk
+    sphere = Sphere(3.0)
+    grid_only = ScanSampling(grid=(41, 53), random=0)
+    (lo0, hi0), (lo1, hi1) = chart_domain(sphere)
+    cell = [[lo0 + (hi0 - lo0) * 5.5 / 41, lo1 + (hi1 - lo1) * 26.5 / 53]]
+    on_surface = surface_data_batch(sphere, np.array(cell))[0][0]
+    onto = PointConfiguration(
+        cfg.mass, np.vstack([cfg.points, on_surface]), np.append(cfg.multiplicities, 1)
+    )
+    # 41 x 53 grid + 3000 draws: the grid ends inside the second chunk and
+    # the draws continue into the partial third
+    mixed = ScanSampling(grid=(41, 53), random=3000, seed=3)
+    below = Plane((0.0, 0.0, 1.0), float(cfg.points[:, 2].max()) + 0.7, span=4.0)
+    foci = MultiFociEllipsoid(rng.uniform(-1.0, 1.0, (3, 3)), 6.0)
+    return [(onto, sphere, grid_only, 1), (cfg, below, mixed, 0), (cfg, foci, mixed, 0)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chunked_scan_matches_single_pass(k):
+    for cfg, surface, sampling, skips in _scan_cases():
+        assert (sampling.grid[0] * sampling.grid[1] + sampling.random) % CHUNK
+        rep = convexity_scan(cfg, surface, k, sampling, keep_samples=True)
+        verdict, margins, scales, PX, skipped = _reference_scan(cfg, surface, k, sampling)
+        assert rep.verdict == verdict
+        assert (rep.samples, rep.skipped) == (margins.size, skipped)
+        assert skipped == skips
+        i = int(np.argmin(margins))
+        np.testing.assert_array_equal(rep.argmin_params, PX[i, :2])
+        np.testing.assert_array_equal(rep.argmin_x, PX[i, 2:])
+        assert abs(rep.min_eigensum - margins[i]) <= 1e-12 * scales[i]
+        table = rep.samples_table
+        np.testing.assert_array_equal(table[:, :5], PX)
+        assert np.all(np.abs(table[:, 5] - margins) <= 1e-12 * scales)
+        np.testing.assert_allclose(table[:, 6], scales, rtol=1e-12)
+
+
+def _sphere50():
+    rng = np.random.default_rng(50)
+    cfg = random_config(rng, k=50, mass=0.0, max_mult=1)
+    return cfg, Sphere(5.1 * float(np.linalg.norm(cfg.points, axis=1).max()))
+
+
+def test_scan_memory_does_not_grow_with_samples():
+    cfg, sphere = _sphere50()
+    convexity_scan(cfg, sphere, 1, ScanSampling(grid=(8, 8), random=64))
+    peaks = []
+    for grid, random in (((128, 128), 10 ** 4), ((256, 256), 4 * 10 ** 4)):
+        tracemalloc.start()
+        try:
+            convexity_scan(cfg, sphere, 1, ScanSampling(grid=grid, random=random))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
+
+
+def test_scan_runs_one_jet_pass_per_chunk(monkeypatch):
+    calls = []
+    kernel = potential_module.jet
+
+    def counted(mass, points, multiplicities, xs, order=2):
+        calls.append((np.atleast_2d(xs).shape[0], order))
+        return kernel(mass, points, multiplicities, xs, order)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("separate exclusion or jet pass")
+
+    # every binding of the kernel, and the routes that would check again
+    monkeypatch.setattr(potential_module, "jet", counted)
+    monkeypatch.setattr(convexity_module, "jet", counted)
+    monkeypatch.setattr(PointConfiguration, "min_centre_distance", forbidden)
+    monkeypatch.setattr("ghconvex.surfaces.phi_jet_batch", forbidden)
+    cfg, sphere = _sphere50()
+    n = 40 * 40 + 3000
+    rep = convexity_scan(cfg, sphere, 2, ScanSampling(grid=(40, 40), random=3000))
+    assert rep.samples + rep.skipped == n
+    assert calls == [(min(CHUNK, n - lo), 1) for lo in range(0, n, CHUNK)]
+    assert len(calls) == math.ceil(n / CHUNK)

@@ -11,15 +11,17 @@ from ghconvex import (
     InvalidParams,
     SingularPoint,
     check_harmonic,
+    gradient_scale,
     load_config,
     make_config,
     parse_config,
     phi_jet,
     phi_jet_batch,
 )
-from ghconvex.potential import EXCLUSION_SCALE
+from ghconvex import potential
+from ghconvex.potential import CHUNK, EXCLUSION_SCALE
 
-from conftest import points_away, random_config
+from conftest import points_away, random_config, reference_jet
 
 
 def fd_steps(config, x):
@@ -128,6 +130,51 @@ def test_batch_matches_scalar():
         assert vals[i] == jet.value
         np.testing.assert_array_equal(grads[i], jet.gradient)
         np.testing.assert_array_equal(hesss[i], jet.hessian)
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_kernel_matches_reference_jet(n):
+    rng = np.random.default_rng(n)
+    cfg = random_config(rng, k=7, mass=1.0, max_mult=3)
+    xs = points_away(rng, cfg, n, min_dist=0.05)
+    args = (cfg.mass, cfg.points, cfg.multiplicities, xs)
+    dmin, scale, vals, grads, hesss = potential.jet(*args, order=2)
+    v0, g0, h0 = reference_jet(*args)
+    d = np.linalg.norm(xs[:, None, :] - cfg.points[None, :, :], axis=2)
+    c = cfg.multiplicities
+    # relative to the summed size of the terms, which cancel in grad and Hess
+    np.testing.assert_allclose(vals, v0, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(scale, 0.5 * (c / d ** 2).sum(axis=1), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(dmin, d.min(axis=1), rtol=1e-13, atol=0)
+    assert np.all(np.linalg.norm(grads - g0, axis=1) <= 1e-13 * scale)
+    assert np.all(np.abs(hesss - h0).max(axis=(1, 2)) <= 1e-13 * (c / d ** 3).sum(axis=1))
+    np.testing.assert_array_equal(hesss, np.swapaxes(hesss, 1, 2))
+    # lower orders share the arithmetic of the outputs they return
+    for order in (0, 1):
+        lower = potential.jet(*args, order=order)
+        for got, want in zip(lower[:3], (dmin, scale, vals)):
+            np.testing.assert_array_equal(got, want)
+        assert lower[4] is None
+        if order:
+            np.testing.assert_array_equal(lower[3], grads)
+        else:
+            assert lower[3] is None
+    # the public wrappers return the kernel's own outputs
+    np.testing.assert_array_equal(cfg.min_centre_distance(xs), dmin)
+    np.testing.assert_array_equal(gradient_scale(cfg, xs), scale)
+
+
+def test_singular_row_in_last_chunk():
+    rng = np.random.default_rng(3)
+    cfg = random_config(rng, k=3)
+    xs = points_away(rng, cfg, 3 * CHUNK + 5)
+    xs[-1] = cfg.points[1] + 0.5 * cfg.exclusion_radius
+    with pytest.raises(SingularPoint):
+        phi_jet_batch(cfg, xs)
+    with pytest.raises(SingularPoint):
+        phi_jet_batch(cfg, xs, 1)
+    assert cfg.min_centre_distance(xs)[-1] <= cfg.exclusion_radius
+    phi_jet_batch(cfg, xs[:-1])
 
 
 def test_singular_point_inside_exclusion_radius():
