@@ -9,7 +9,11 @@ approximates by sampling.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -41,6 +45,9 @@ MARGIN_TOL = 1e-9  # relative to ||S||: below this a verdict is Inconclusive
 # eigvals3_batch sends rows with 1 - |r| below this to LAPACK; above it the
 # arccos form's error, ~eps / sqrt(1 - |r|), stays near 1e-13 ||S||
 CLUSTER_TOL = 1e-6
+# Threads convexity_scan runs its chunks on: numpy releases the GIL inside
+# its loops, so chunks overlap on separate cores
+SCAN_THREADS = min(4, os.cpu_count() or 1)
 
 
 def _check_symmetric(S: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -232,6 +239,58 @@ def _scan_params(surface: BarrierSurface, sampling: ScanSampling) -> Iterator[np
         yield np.vstack([np.column_stack([p0[i // g1], p1[i % g1]]), R])
 
 
+def _scan_chunk(
+    config: PointConfiguration, surface: BarrierSurface, k: int, P: np.ndarray, keep_samples: bool
+) -> tuple:
+    """One chunk of convexity_scan: surface data, one order-1 jet pass (its
+    nearest-centre distance is the exclusion check), the lift and the
+    eigensum.  Returns (violated, strict, (min, P_i, X_i), samples, skipped,
+    table)."""
+    X, U, V, NU, SFF, _ = surface_data_batch(surface, P)
+    dmin, _, vals, grads, _ = jet(config.mass, config.points, config.multiplicities, X, 1)
+    ok = dmin > config.exclusion_radius
+    P, X = P[ok], X[ok]
+    S = lifted_sff_batch(config, X, U[ok], V[ok], NU[ok], SFF[ok], jet=(vals[ok], grads[ok]))
+    margins = _eigensum_batch(S, k)
+    scales = np.sqrt((S ** 2).sum(axis=(1, 2)))
+    tol = MARGIN_TOL * scales
+    best = (math.inf, None, None)
+    if margins.size:
+        i = int(np.argmin(margins))
+        best = (float(margins[i]), P[i].copy(), X[i].copy())
+    table = np.column_stack([P, X, margins, scales]) if keep_samples else None
+    return (
+        bool(np.any(margins < -tol)),
+        bool(np.all(margins > tol)),
+        best,
+        margins.size,
+        int((~ok).sum()),
+        table,
+    )
+
+
+def _chunk_results(
+    config: PointConfiguration,
+    surface: BarrierSurface,
+    k: int,
+    sampling: ScanSampling,
+    keep_samples: bool,
+) -> Iterator[tuple]:
+    """``_scan_chunk`` results in chunk order, computed on SCAN_THREADS
+    threads with at most 2 * SCAN_THREADS chunks in flight.  Each chunk runs
+    in its own copy of the caller's context, so numpy's errstate and any
+    context variables apply inside the workers."""
+    with ThreadPoolExecutor(SCAN_THREADS) as pool:
+        pending: deque = deque()
+        for P in _scan_params(surface, sampling):
+            ctx = contextvars.copy_context()
+            pending.append(pool.submit(ctx.run, _scan_chunk, config, surface, k, P, keep_samples))
+            if len(pending) == 2 * SCAN_THREADS:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def convexity_scan(
     config: PointConfiguration,
     surface: BarrierSurface,
@@ -247,9 +306,11 @@ def convexity_scan(
     MARGIN_TOL relative to each sample's Frobenius norm: StrictlyConvex when
     every margin clears +tol*scale, Violated when any falls below
     -tol*scale, Inconclusive otherwise.  Samples go CHUNK at a time through
-    surface data, one order-1 jet pass (its nearest-centre distance is the
-    exclusion check), the lift and the eigensum: memory does not grow with
-    the sample count unless keep_samples asks for the table.
+    ``_scan_chunk`` on a pool of SCAN_THREADS threads: memory is bounded by
+    threads x CHUNK, not by the sample count, unless keep_samples asks for
+    the table.  Results are combined in chunk order, so the first minimum
+    wins, the report does not depend on thread scheduling, and the earliest
+    failing chunk's exception is the one raised.
     """
     if k not in (1, 2, 3):
         raise InvalidK(f"k must be 1, 2 or 3, got {k}")
@@ -263,25 +324,17 @@ def convexity_scan(
     samples = skipped = 0
     violated, strict = False, True
     tables = []
-    for P in _scan_params(surface, sampling):
-        X, U, V, NU, SFF, _ = surface_data_batch(surface, P)
-        dmin, _, vals, grads, _ = jet(config.mass, config.points, config.multiplicities, X, 1)
-        ok = dmin > config.exclusion_radius
-        P, X = P[ok], X[ok]
-        S = lifted_sff_batch(config, X, U[ok], V[ok], NU[ok], SFF[ok], jet=(vals[ok], grads[ok]))
-        margins = _eigensum_batch(S, k)
-        scales = np.sqrt((S ** 2).sum(axis=(1, 2)))
-        tol = MARGIN_TOL * scales
-        violated = violated or bool(np.any(margins < -tol))
-        strict = strict and bool(np.all(margins > tol))
-        if margins.size:
-            i = int(np.argmin(margins))
-            if margins[i] < best[0]:
-                best = (float(margins[i]), P[i].copy(), X[i].copy())
-        samples += margins.size
-        skipped += int((~ok).sum())
+    for c_violated, c_strict, c_best, c_samples, c_skipped, table in _chunk_results(
+        config, surface, k, sampling, keep_samples
+    ):
+        violated = violated or c_violated
+        strict = strict and c_strict
+        if c_best[0] < best[0]:
+            best = c_best
+        samples += c_samples
+        skipped += c_skipped
         if keep_samples:
-            tables.append(np.column_stack([P, X, margins, scales]))
+            tables.append(table)
     if samples < skipped:
         raise TooFewSamples(
             f"{skipped} of {samples + skipped} samples fell inside exclusion radii"

@@ -68,6 +68,8 @@ class PointConfiguration:
     mass: float
     points: np.ndarray
     multiplicities: np.ndarray
+    # largest pairwise centre distance (0 for fewer than two centres)
+    diameter: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mass = float(self.mass)
@@ -94,10 +96,9 @@ class PointConfiguration:
         if pts.shape[0] == 0 and mass == 0.0:
             raise EmptyConfiguration("no centres and zero mass: potential is identically zero")
         # Distinctness: any coincident pair makes the decomposition ill posed.
-        for i in range(pts.shape[0]):
-            d = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
-            if d.size and d.min() == 0.0:
-                raise InvalidParams("centres must be pairwise distinct")
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        if np.any(dist[np.triu_indices(pts.shape[0], 1)] == 0.0):
+            raise InvalidParams("centres must be pairwise distinct")
         pts = pts.copy()
         pts.setflags(write=False)
         mults = mults.copy()
@@ -105,18 +106,11 @@ class PointConfiguration:
         object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "multiplicities", mults)
+        object.__setattr__(self, "diameter", float(dist.max(initial=0.0)))
 
     @property
     def k(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def diameter(self) -> float:
-        """Largest pairwise centre distance (0 for fewer than two centres)."""
-        if self.k < 2:
-            return 0.0
-        diffs = self.points[:, None, :] - self.points[None, :, :]
-        return float(np.sqrt((diffs ** 2).sum(axis=2)).max())
 
     @property
     def exclusion_radius(self) -> float:
@@ -179,37 +173,61 @@ def jet(
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     n = xs.shape[0]
-    dmin = np.empty(n)
-    scale = np.empty(n)
-    vals = np.full(n, float(mass))
-    grads = np.empty((n, 3)) if order >= 1 else None
-    hesss = np.empty((n, 3, 3)) if order >= 2 else None
-    c = np.asarray(multiplicities, dtype=float)
+    if n % CHUNK == 1:
+        # numpy sums a lone column pairwise but wider blocks row by row: a
+        # duplicate row keeps a one-row chunk on the order of every other
+        xs = np.vstack([xs, xs[-1:]])
+    rows = xs.shape[0]
+    dmin = np.empty(rows)
+    scale = np.empty(rows)
+    vals = np.full(rows, float(mass))
+    grads = np.empty((rows, 3)) if order >= 1 else None
+    hesss = np.empty((rows, 3, 3)) if order >= 2 else None
+    c = np.asarray(multiplicities, dtype=float)[:, None]
+    pc = np.asarray(points, dtype=float).T[:, :, None]     # (3, k, 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo in range(0, n, CHUNK):
+        for lo in range(0, rows, CHUNK):
             s = slice(lo, lo + CHUNK)
-            # component-major (rows, k) blocks: contiguous row reductions
-            d = [xs[s, j, None] - points[:, j] for j in range(3)]
-            r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
-            dmin[s] = np.sqrt(r2.min(axis=1, initial=np.inf))
-            inv_r = 1.0 / np.sqrt(r2)
+            # centre-major (k, rows) blocks reduced over axis 0, so numpy's
+            # inner loops run over the rows; one difference component is
+            # held at a time and recomputed where needed
+            xt = np.ascontiguousarray(xs[s].T)
+            r2 = xt[0] - pc[0]
+            r2 *= r2
+            d = xt[1] - pc[1]
+            d *= d
+            r2 += d
+            np.subtract(xt[2], pc[2], out=d)
+            d *= d
+            r2 += d
+            dmin[s] = np.sqrt(r2.min(axis=0, initial=np.inf))
+            inv_r = r2                                      # in place: 1/r, then 1/r^2
+            np.sqrt(r2, out=inv_r)
+            np.divide(1.0, inv_r, out=inv_r)
             w = c * inv_r                                   # c / r
-            vals[s] += 0.5 * w.sum(axis=1)
-            scale[s] = 0.5 * np.einsum("nk,nk->n", w, inv_r)
+            vals[s] += 0.5 * w.sum(axis=0)
+            np.multiply(w, inv_r, out=d)
+            scale[s] = 0.5 * d.sum(axis=0)
             if order >= 1:
-                w *= inv_r * inv_r                          # c / r^3
+                inv_r *= inv_r
+                w *= inv_r                                  # c / r^3
                 for i in range(3):
-                    grads[s, i] = -0.5 * np.einsum("nk,nk->n", w, d[i])
+                    np.subtract(xt[i], pc[i], out=d)
+                    d *= w
+                    grads[s, i] = -0.5 * d.sum(axis=0)
             if order >= 2:
                 # Hessian of c/(2r): (c/2) (3 d d^T / r^5 - I / r^3), entry by entry
-                w5 = w * inv_r * inv_r
-                trace_part = 0.5 * w.sum(axis=1)
+                trace_part = 0.5 * w.sum(axis=0)
+                w *= inv_r                                  # c / r^5
                 for i in range(3):
-                    wd = w5 * d[i]
+                    np.subtract(xt[i], pc[i], out=d)
+                    d *= w
                     for j in range(i, 3):
-                        hesss[s, i, j] = hesss[s, j, i] = 1.5 * np.einsum("nk,nk->n", wd, d[j])
+                        np.subtract(xt[j], pc[j], out=inv_r)
+                        inv_r *= d
+                        hesss[s, i, j] = hesss[s, j, i] = 1.5 * inv_r.sum(axis=0)
                     hesss[s, i, i] -= trace_part
-    return dmin, scale, vals, grads, hesss
+    return tuple(a if a is None else a[:n] for a in (dmin, scale, vals, grads, hesss))
 
 
 def phi_jet_batch(config: PointConfiguration, xs: np.ndarray, order: int = 2) -> tuple:

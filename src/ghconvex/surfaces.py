@@ -52,6 +52,11 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+# Multi-foci shooting: bisection sweeps before the Newton polish, and the
+# residual |F - L| / L every solved row must meet
+MULTIFOCI_SWEEPS = 60
+MULTIFOCI_RTOL = 1e-12
+
 
 def _unit(w: Sequence[float], what: str) -> np.ndarray:
     w = np.asarray(w, dtype=float)
@@ -164,7 +169,8 @@ class MultiFociEllipsoid:
 
     No closed chart exists for >= 3 foci; points are found by shooting rays
     from the foci centroid and solving F(centroid + t d) = L (bisection then
-    Newton).  Chart params are the direction angles (azimuth in [0, 2pi],
+    Newton); a row missing |F - L| <= MULTIFOCI_RTOL * L raises
+    SolverFailure.  Chart params are the direction angles (azimuth in [0, 2pi],
     polar in (0, pi)).
     """
 
@@ -275,7 +281,7 @@ def _multifoci_solve(surface: MultiFociEllipsoid, D: np.ndarray) -> np.ndarray:
     # triangle inequality: F(base + t d) >= n_foci * t - F(base), so this
     # upper end is guaranteed to bracket
     hi = np.full(n, (L + 2.0 * f0) / pts.shape[0] + 1.0)
-    for _ in range(60):
+    for _ in range(MULTIFOCI_SWEEPS):
         mid = 0.5 * (lo + hi)
         high = F(mid) > L
         hi = np.where(high, mid, hi)
@@ -291,6 +297,11 @@ def _multifoci_solve(surface: MultiFociEllipsoid, D: np.ndarray) -> np.ndarray:
         t = t - (dist.sum(axis=1) - L) / deriv
     if not np.all(np.isfinite(t)):
         raise SolverFailure("multi-foci shooting produced non-finite distances")
+    failing = int(np.count_nonzero(np.abs(F(t) - L) > MULTIFOCI_RTOL * L))
+    if failing:
+        raise SolverFailure(
+            f"multi-foci shooting missed |F - L| <= {MULTIFOCI_RTOL:g} L on {failing} of {n} rows"
+        )
     return t
 
 

@@ -1,7 +1,10 @@
 """Eigenvalue sums, the sampled-plane oracle and chart-wide convexity scans."""
 from __future__ import annotations
 
+import contextvars
 import math
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 
 import ghconvex.convexity as convexity_module
 import ghconvex.potential as potential_module
+import ghconvex.surfaces as surfaces_module
 
 from ghconvex import (
     InvalidK,
@@ -17,6 +21,7 @@ from ghconvex import (
     NotSymmetric,
     Plane,
     ScanSampling,
+    SolverFailure,
     Sphere,
     TooFewSamples,
     TwoFociEllipsoid,
@@ -313,3 +318,80 @@ def test_scan_runs_one_jet_pass_per_chunk(monkeypatch):
     assert rep.samples + rep.skipped == n
     assert calls == [(min(CHUNK, n - lo), 1) for lo in range(0, n, CHUNK)]
     assert len(calls) == math.ceil(n / CHUNK)
+
+
+def test_scan_repeats_byte_identical(monkeypatch):
+    cfg, foci, sampling, _ = _scan_cases()[2]
+    monkeypatch.setattr(convexity_module, "SCAN_THREADS", 1)
+    first = convexity_scan(cfg, foci, 2, sampling, keep_samples=True)
+    assert first.samples_table.shape[0] > 2 * CHUNK
+    # more threads than cores, switching as often as the interpreter allows
+    monkeypatch.setattr(convexity_module, "SCAN_THREADS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reps = [convexity_scan(cfg, foci, 2, sampling, keep_samples=True) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    for rep in reps:
+        assert rep.samples_table.tobytes() == first.samples_table.tobytes()
+        assert rep.argmin_params.tobytes() == first.argmin_params.tobytes()
+        assert rep.argmin_x.tobytes() == first.argmin_x.tobytes()
+        assert (rep.min_eigensum, rep.verdict) == (first.min_eigensum, first.verdict)
+
+
+def _chunk_index(surface, sampling):
+    """Map each chunk's first chart sample to the chunk's position."""
+    starts = convexity_module._scan_params(surface, sampling)
+    return {tuple(P[0]): i for i, P in enumerate(starts)}
+
+
+def test_scan_raises_the_earliest_failing_chunk(monkeypatch):
+    cfg = make_config(0.0, [((0.0, 0.0, 0.5), 1), ((0.3, 0.0, -0.4), 1)])
+    sphere, sampling = Sphere(3.0), ScanSampling(grid=(100, 100), random=0)
+    index = _chunk_index(sphere, sampling)
+    assert len(index) >= 4
+    original = convexity_module.surface_data_batch
+
+    def failing(surface, P):
+        i = index[tuple(P[0])]
+        if i == 1:
+            time.sleep(0.05)            # fails later in time than chunk 3
+            raise SolverFailure("chunk 1")
+        if i == 3:
+            raise SolverFailure("chunk 3")
+        return original(surface, P)
+
+    monkeypatch.setattr(convexity_module, "surface_data_batch", failing)
+    with pytest.raises(SolverFailure, match="chunk 1"):
+        convexity_scan(cfg, sphere, 1, sampling)
+
+
+def test_scan_chunks_run_in_the_callers_context(monkeypatch):
+    var = contextvars.ContextVar("scan_test_var", default="unset")
+    seen = []
+    original = convexity_module.surface_data_batch
+
+    def recording(surface, P):
+        seen.append((var.get(), np.geterr()["under"]))
+        return original(surface, P)
+
+    monkeypatch.setattr(convexity_module, "surface_data_batch", recording)
+    cfg, sphere = _sphere50()
+    sampling = ScanSampling(grid=(40, 40), random=3000)
+    token = var.set("caller")
+    try:
+        with np.errstate(under="warn"):
+            rep = convexity_scan(cfg, sphere, 1, sampling)
+    finally:
+        var.reset(token)
+    assert rep.samples + rep.skipped == 40 * 40 + 3000
+    assert seen == [("caller", "warn")] * math.ceil((40 * 40 + 3000) / CHUNK)
+
+
+def test_scan_propagates_solver_failure_from_a_worker(monkeypatch):
+    monkeypatch.setattr(surfaces_module, "MULTIFOCI_SWEEPS", 2)
+    cfg = make_config(0.0, [((0.0, 0.0, 0.0), 1)])
+    foci = MultiFociEllipsoid([[1.0, 0.0, 0.0], [-0.5, 0.8, 0.0], [-0.5, -0.8, 0.0]], 4.0)
+    with pytest.raises(SolverFailure, match=r"on \d+ of \d+ rows"):
+        convexity_scan(cfg, foci, 1, ScanSampling(grid=(64, 64), random=0))

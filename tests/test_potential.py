@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghconvex import (
     EmptyConfiguration,
@@ -164,6 +166,59 @@ def test_kernel_matches_reference_jet(n):
     np.testing.assert_array_equal(gradient_scale(cfg, xs), scale)
 
 
+@pytest.mark.parametrize("k", [9, 50])
+def test_single_rows_match_batch_with_many_centres(k):
+    # numpy sums a one-column block pairwise from 8 terms on, so the kernel
+    # must keep single rows on the batch's summation order
+    rng = np.random.default_rng(k)
+    cfg = random_config(rng, k=k)
+    xs = points_away(rng, cfg, 2 * CHUNK + 1, min_dist=0.05)
+    vals, grads, hesss = phi_jet_batch(cfg, xs)
+    for i in (0, 17, 2 * CHUNK):
+        jet = phi_jet(cfg, xs[i])
+        assert vals[i] == jet.value
+        np.testing.assert_array_equal(grads[i], jet.gradient)
+        np.testing.assert_array_equal(hesss[i], jet.hessian)
+
+
+def _rotation(q):
+    a, b, c, d = np.asarray(q) / np.linalg.norm(q)
+    return np.array([
+        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+        [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
+        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
+    ])
+
+
+_unit_interval = st.floats(-1.0, 1.0)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    quaternion=st.tuples(*[_unit_interval] * 4).filter(lambda q: sum(v * v for v in q) > 0.01),
+    shift=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+)
+def test_jet_rigid_motion_invariance(seed, quaternion, shift):
+    """Moving centres and points together by x -> Qx + b leaves phi fixed,
+    rotates grad phi and conjugates Hess phi."""
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, k=int(rng.integers(1, 10)), max_mult=3)
+    xs = points_away(rng, cfg, 40)
+    Q, b = _rotation(quaternion), np.asarray(shift)
+    moved = make_config(
+        cfg.mass, [(Q @ p + b, int(c)) for p, c in zip(cfg.points, cfg.multiplicities)]
+    )
+    _, scale, vals, grads, hesss = potential.jet(cfg.mass, cfg.points, cfg.multiplicities, xs)
+    _, _, v1, g1, h1 = potential.jet(moved.mass, moved.points, moved.multiplicities, xs @ Q.T + b)
+    d = np.linalg.norm(xs[:, None, :] - cfg.points[None, :, :], axis=2)
+    hess_scale = (cfg.multiplicities / d ** 3).sum(axis=1)
+    assert np.all(np.abs(v1 - vals) <= 1e-12 * vals)
+    assert np.all(np.linalg.norm(g1 - grads @ Q.T, axis=1) <= 1e-12 * scale)
+    conj = np.einsum("ij,njk,lk->nil", Q, hesss, Q)
+    assert np.all(np.abs(h1 - conj).max(axis=(1, 2)) <= 1e-12 * hess_scale)
+
+
 def test_singular_row_in_last_chunk():
     rng = np.random.default_rng(3)
     cfg = random_config(rng, k=3)
@@ -199,6 +254,18 @@ def test_configuration_validation():
         make_config(0.0, [((0, 0, 0), 0)])
     with pytest.raises(InvalidParams):
         make_config(0.0, [((0, 0, np.nan), 1)])
+
+
+def test_diameter_is_computed_once_with_its_value_unchanged():
+    cfg = make_config(0.0, [((0, 0, 0), 1), ((3, 4, 0), 1), ((1, 1, 1), 2)])
+    assert "diameter" in vars(cfg) and cfg.diameter == 5.0
+    assert cfg.exclusion_radius == EXCLUSION_SCALE * 6.0
+    assert make_config(0.0, [((1, 2, 3), 1)]).diameter == 0.0
+    assert make_config(1.5, []).diameter == 0.0
+    rng = np.random.default_rng(8)
+    cfg = random_config(rng, k=12)
+    diffs = cfg.points[:, None, :] - cfg.points[None, :, :]
+    assert cfg.diameter == float(np.sqrt((diffs ** 2).sum(axis=2)).max())
 
 
 def test_points_array_is_read_only():

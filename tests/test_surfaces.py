@@ -4,6 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import ghconvex.surfaces as surfaces_module
+
 from ghconvex import (
     ChartDomainError,
     Cylinder,
@@ -133,6 +135,19 @@ def test_multifoci_level_residual():
         x = chart(surf, params[None, :])[0]
         F = sum(np.linalg.norm(x - f) for f in foci)
         assert F == pytest.approx(surf.level, abs=1e-10)
+
+
+def test_multifoci_shooting_checks_its_residual(monkeypatch):
+    surf = FAMILIES[4]
+    rng = np.random.default_rng(9)
+    P = interior_params(surf, rng, 500)
+    X = surface_data_batch(surf, P)[0]
+    F = np.linalg.norm(X[:, None, :] - surf.foci[None, :, :], axis=2).sum(axis=1)
+    assert np.all(np.abs(F - surf.level) <= surfaces_module.MULTIFOCI_RTOL * surf.level)
+    # too few bisection sweeps leave Newton short of the bound on some rows
+    monkeypatch.setattr(surfaces_module, "MULTIFOCI_SWEEPS", 2)
+    with pytest.raises(SolverFailure, match=r"on \d+ of 500 rows"):
+        surface_data_batch(surf, P)
 
 
 def test_multifoci_degenerates_to_two_foci():
