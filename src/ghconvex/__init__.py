@@ -3,10 +3,10 @@ Gibbons-Hawking geometries.
 
 The metric upstairs is g = phi^-1 eta^2 + phi g_R3 with
 phi = m + sum_i c_i/(2|x - p_i|).  This package evaluates the jet of phi,
-the adapted-frame connection, lifted second fundamental forms of barrier
-surface families, k-convexity scans, closed-form barrier margins with their
-threshold constants, Gaussian curvature / strong stability of invariant
-surfaces over segments, and invariant closed geodesics.
+lifted second fundamental forms of barrier surface families, k-convexity
+scans, closed-form barrier margins with their threshold constants,
+Gaussian curvature / strong stability of invariant surfaces over segments,
+and invariant closed geodesics.
 """
 
 from .errors import (
@@ -33,7 +33,6 @@ from .potential import (
     phi_jet,
     phi_jet_batch,
 )
-from .frame_geometry import ConnectionCoefficients, connection_coefficients, levi_civita
 from .surfaces import (
     AdaptedSFF,
     BarrierSurface,

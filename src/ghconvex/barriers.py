@@ -23,8 +23,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidK, InvalidParams, OnAxis
-from .potential import PointConfiguration, phi_jet_batch
+from .potential import PointConfiguration, _unit, _vec3, phi_jet_batch
 from .rootfind import bisect_newton
+from .surfaces import _orthobasis
 
 __all__ = [
     "MarginCurve",
@@ -94,14 +95,7 @@ def sphere_hyp_margin(config: PointConfiguration, x: Sequence[float]) -> float:
 
 def _axis_frame(axis) -> tuple[np.ndarray, np.ndarray]:
     point, direction = axis
-    q = np.asarray(point, dtype=float)
-    w = np.asarray(direction, dtype=float)
-    if q.shape != (3,) or w.shape != (3,):
-        raise InvalidParams("axis must be a (point, direction) pair of 3-vectors")
-    n = np.linalg.norm(w)
-    if n < 1e-12:
-        raise InvalidParams("axis direction must be nonzero")
-    return q, w / n
+    return _vec3(point, "axis point"), _unit(direction, "axis direction")
 
 
 def cylinder_hyp_margin_batch(config: PointConfiguration, xs, axis=((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))) -> np.ndarray:
@@ -126,11 +120,7 @@ def cylinder_hyp_margin(config: PointConfiguration, x, axis=((0.0, 0.0, 0.0), (0
 
 def plane_hyp_margin_batch(config: PointConfiguration, xs, direction) -> np.ndarray:
     xs = _as_points(xs)
-    d = np.asarray(direction, dtype=float)
-    n = np.linalg.norm(d)
-    if d.shape != (3,) or n < 1e-12:
-        raise InvalidParams("direction must be a nonzero 3-vector")
-    d = d / n
+    d = _unit(direction, "direction")
     _, grads, _ = phi_jet_batch(config, xs, 1)
     return -grads @ d
 
@@ -285,11 +275,7 @@ def cylinder_margin_curve(
     thr = cylinder_threshold(config, axis)
     if span is None:
         span = 2.0 * (1.0 + config.diameter)
-    b1 = np.zeros(3)
-    b1[int(np.argmin(np.abs(w)))] = 1.0
-    b1 = np.cross(b1, w)
-    b1 /= np.linalg.norm(b1)
-    b2 = np.cross(w, b1)
+    b1, b2 = _orthobasis(w)
     rng = np.random.default_rng(seed)
     ang = rng.uniform(0.0, 2.0 * math.pi, n_samples)
     ts = rng.uniform(-span, span, n_samples)
@@ -316,14 +302,9 @@ def plane_margin_curve(
     The threshold is max_i <p_i, direction>: planes beyond it have all
     centres strictly on the other side.
     """
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
+    d = _unit(direction, "plane direction")
     thr = float((config.points @ d).max()) if config.k else 0.0
-    h = np.zeros(3)
-    h[int(np.argmin(np.abs(d)))] = 1.0
-    t1 = np.cross(h, d)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(d, t1)
+    t1, t2 = _orthobasis(d)
     rng = np.random.default_rng(seed)
     st = rng.uniform(-span, span, (n_samples, 2))
     out = []

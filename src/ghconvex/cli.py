@@ -10,12 +10,10 @@ validation errors.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,7 +22,7 @@ from .errors import GHConvexError
 from .potential import load_config
 from .surfaces import parse_surface
 
-__all__ = ["RunSpec", "run", "main"]
+__all__ = ["run", "main"]
 
 
 def _fmt(v) -> str:
@@ -37,299 +35,190 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
-@dataclass
-class RunSpec:
-    """Fully resolved run parameters, embedded in every report."""
+class _Result(NamedTuple):
+    """What a command computed, ready for either report encoding.
 
-    command: str
-    params: dict = field(default_factory=dict)
+    ``sign`` is what --expect is checked against ("positive", "negative",
+    or None when neither holds); ``failure`` says why when it does not match.
+    """
 
-    def to_dict(self) -> dict:
-        return {"command": self.command, **self.params}
+    body: dict
+    header: list[str]
+    rows: Iterable
+    trailer: Optional[str] = None
+    sign: Optional[str] = None
+    failure: str = ""
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _write_report(args, result: _Result) -> int:
+    """Emit the report to --out or stdout, then apply --expect.
+
+    The run spec is the parsed arguments minus the ones that only steer the
+    process; commands resolve their arguments in ``args`` before returning.
+    """
+    spec = {"command": args.command}
+    spec.update((k, v) for k, v in vars(args).items() if k not in ("command", "func", "out"))
+    if args.format == "json":
+        text = json.dumps({"runspec": spec, **result.body}, indent=2, sort_keys=True) + "\n"
+    else:
+        lines = ["# runspec: " + json.dumps(spec, sort_keys=True), ",".join(result.header)]
+        lines += [",".join(_fmt(v) for v in row) for row in result.rows]
+        if result.trailer:
+            lines.append(result.trailer)
+        text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    expect = getattr(args, "expect", None)
+    if expect is not None and expect != result.sign:
+        print(f"expectation failed: {result.failure}", file=sys.stderr)
+        return 1
+    return 0
 
 
-def _json_report(spec: RunSpec, body: dict) -> str:
-    return json.dumps({"runspec": spec.to_dict(), **body}, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_report(spec: RunSpec, header: list[str], rows, trailer: Optional[str] = None) -> str:
-    buf = io.StringIO()
-    buf.write("# runspec: " + json.dumps(spec.to_dict(), sort_keys=True) + "\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    if trailer:
-        buf.write(trailer + "\n")
-    return buf.getvalue()
+def _sign(positive: bool) -> str:
+    return "positive" if positive else "negative"
 
 
 def _surface_from_args(args) -> dict:
     """Surface spec from --surface (JSON text, @file, or family name plus
-    family flags like --r/--a/--level)."""
+    family flags like --r/--a/--level).  The family flags move out of args
+    into the spec, so the run spec records only the resolved surface."""
+    flags = {
+        key: vars(args).pop(key)
+        for key in ("r", "a", "level", "offset", "span", "centre", "point", "axis", "normal", "foci")
+    }
     s = args.surface
-    if s is None:
-        raise GHConvexError("scan requires --surface")
     if s.startswith("@"):
         with open(s[1:], "r", encoding="utf-8") as fh:
             return json.load(fh)
     s = s.strip()
     if s.startswith("{"):
         return json.loads(s)
-    spec: dict = {"family": s}
-    for key in ("r", "a", "level", "offset", "span"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            spec[key] = val
-    for key in ("centre", "point", "axis", "normal"):
-        val = getattr(args, key, None)
-        if val is not None:
-            spec[key] = val
-    if args.foci is not None:
-        spec["foci"] = json.loads(args.foci)
+    spec = {"family": s, **{key: val for key, val in flags.items() if val is not None}}
+    if "foci" in spec:
+        spec["foci"] = json.loads(spec["foci"])
     return spec
 
 
-def _check_expect(expect: Optional[str], positive: bool, what: str) -> int:
-    if expect is None:
-        return 0
-    want = expect == "positive"
-    if want != positive:
-        print(f"expectation failed: {what}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_constants(args) -> int:
-    kmax = args.kmax
-    spec = RunSpec("constants", {"kmax": kmax, "format": args.format, "seed": args.seed})
+def _cmd_constants(args) -> _Result:
     C = barriers.constant_C()
-    rk = {k: barriers.constant_Rk(k) for k in range(2, kmax + 1)}
-    if args.format == "json":
-        body = {"C": C, "R_k": {str(k): v for k, v in rk.items()}}
-        _emit(_json_report(spec, body), args.out)
-    else:
-        rows = [["C", "", _fmt(C)]] + [["R_k", k, _fmt(v)] for k, v in rk.items()]
-        _emit(_csv_report(spec, ["constant", "k", "value"], rows), args.out)
-    return 0
-
-
-def _cmd_scan(args) -> int:
-    config = load_config(args.config)
-    surf_spec = _surface_from_args(args)
-    surface = parse_surface(surf_spec)
-    sampling = convexity.ScanSampling(grid=(args.grid, args.grid), random=args.random, seed=args.seed)
-    spec = RunSpec(
-        "scan",
-        {
-            "config": args.config,
-            "surface": surf_spec,
-            "k": args.k,
-            "grid": args.grid,
-            "random": args.random,
-            "seed": args.seed,
-            "format": args.format,
-            "expect": args.expect,
-        },
+    rk = {k: barriers.constant_Rk(k) for k in range(2, args.kmax + 1)}
+    return _Result(
+        {"C": C, "R_k": {str(k): v for k, v in rk.items()}},
+        ["constant", "k", "value"],
+        [["C", "", _fmt(C)]] + [["R_k", k, _fmt(v)] for k, v in rk.items()],
     )
+
+
+def _cmd_scan(args) -> _Result:
+    config = load_config(args.config)
+    args.surface = _surface_from_args(args)
+    surface = parse_surface(args.surface)
+    sampling = convexity.ScanSampling(grid=(args.grid, args.grid), random=args.random, seed=args.seed)
     report = convexity.convexity_scan(
         config, surface, args.k, sampling, keep_samples=(args.format == "csv")
     )
-    if args.format == "json":
-        _emit(_json_report(spec, report.to_dict()), args.out)
-    else:
-        trailer = (
-            f"# verdict: {report.verdict}, min_eigensum: {_fmt(report.min_eigensum)}, "
-            f"samples: {report.samples}, skipped: {report.skipped}"
-        )
-        _emit(
-            _csv_report(
-                spec,
-                ["p0", "p1", "x", "y", "z", "eigensum", "scale"],
-                report.samples_table,
-                trailer,
-            ),
-            args.out,
-        )
-    if args.expect is None:
-        return 0
-    wanted = {"positive": "StrictlyConvex", "negative": "Violated"}[args.expect]
-    if report.verdict != wanted:
-        print(
-            f"expectation failed: verdict {report.verdict}, wanted {wanted}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_margins(args) -> int:
-    config = load_config(args.config)
-    lo, hi, steps = args.pmin, args.pmax, args.steps
-    if lo is None or hi is None:
-        raise GHConvexError("margins requires --pmin and --pmax")
-    params = np.linspace(lo, hi, steps)
-    spec = RunSpec(
-        "margins",
-        {
-            "config": args.config,
-            "family": args.family,
-            "pmin": lo,
-            "pmax": hi,
-            "steps": steps,
-            "dirs": args.dirs,
-            "seed": args.seed,
-            "direction": args.direction,
-            "format": args.format,
-        },
+    wanted = {"positive": "StrictlyConvex", "negative": "Violated"}.get(args.expect)
+    return _Result(
+        report.to_dict(),
+        ["p0", "p1", "x", "y", "z", "eigensum", "scale"],
+        report.samples_table,
+        trailer=f"# verdict: {report.verdict}, min_eigensum: {_fmt(report.min_eigensum)}, "
+        f"samples: {report.samples}, skipped: {report.skipped}",
+        sign={"StrictlyConvex": "positive", "Violated": "negative"}.get(report.verdict),
+        failure=f"verdict {report.verdict}, wanted {wanted}",
     )
+
+
+def _cmd_margins(args) -> _Result:
+    config = load_config(args.config)
+    params = np.linspace(args.pmin, args.pmax, args.steps)
+    if args.family == "codim2":
+        curves = barriers.codim2_margin_curve(config, params, args.dirs, args.seed)
+        return _Result(
+            {
+                "threshold": curves[0].threshold,
+                "curve": [
+                    {
+                        "parameter": c.parameter,
+                        "min_minor1": c.min_minor1,
+                        "max_det_aux": c.max_det_aux,
+                    }
+                    for c in curves
+                ],
+            },
+            ["parameter", "min_minor1", "max_det_aux", "threshold"],
+            [[c.parameter, c.min_minor1, c.max_det_aux, c.threshold] for c in curves],
+        )
     if args.family == "sphere":
         curves = barriers.sphere_margin_curve(config, params, args.dirs, args.seed)
     elif args.family == "cylinder":
         curves = barriers.cylinder_margin_curve(config, params, n_samples=args.dirs, seed=args.seed)
-    elif args.family == "plane":
+    else:
         direction = args.direction or [0.0, 0.0, 1.0]
         curves = barriers.plane_margin_curve(config, direction, params, n_samples=args.dirs, seed=args.seed)
-    elif args.family == "codim2":
-        curves = barriers.codim2_margin_curve(config, params, args.dirs, args.seed)
-    else:
-        raise GHConvexError(f"unknown margin family {args.family}")
-    if args.family == "codim2":
-        header = ["parameter", "min_minor1", "max_det_aux", "threshold"]
-        rows = [[c.parameter, c.min_minor1, c.max_det_aux, c.threshold] for c in curves]
-        body = {
-            "threshold": curves[0].threshold if curves else None,
-            "curve": [
-                {
-                    "parameter": c.parameter,
-                    "min_minor1": c.min_minor1,
-                    "max_det_aux": c.max_det_aux,
-                }
-                for c in curves
-            ],
-        }
-    else:
-        header = ["parameter", "min_margin", "threshold", "argmin_x", "argmin_y", "argmin_z"]
-        rows = [[c.parameter, c.margin, c.threshold, *c.argmin] for c in curves]
-        body = {
-            "threshold": curves[0].threshold if curves else None,
+    return _Result(
+        {
+            "threshold": curves[0].threshold,
             "curve": [
                 {"parameter": c.parameter, "min_margin": c.margin, "argmin": [float(v) for v in c.argmin]}
                 for c in curves
             ],
-        }
-    if args.format == "json":
-        _emit(_json_report(spec, body), args.out)
-    else:
-        _emit(_csv_report(spec, header, rows), args.out)
-    return 0
-
-
-def _segment(args, config) -> stability.SegmentSurface:
-    return stability.SegmentSurface(config, args.i, args.j)
-
-
-def _cmd_curvature(args) -> int:
-    config = load_config(args.config)
-    seg = _segment(args, config)
-    n = args.samples
-    spec = RunSpec(
-        "curvature",
-        {"config": args.config, "i": args.i, "j": args.j, "samples": n, "format": args.format},
+        },
+        ["parameter", "min_margin", "threshold", "argmin_x", "argmin_y", "argmin_z"],
+        [[c.parameter, c.margin, c.threshold, *c.argmin] for c in curves],
     )
+
+
+def _cmd_curvature(args) -> _Result:
+    seg = stability.SegmentSurface(load_config(args.config), args.i, args.j)
     half = (seg.a - seg.delta) * (1.0 - 1e-9)
-    ts = np.linspace(-half, half, n)
+    ts = np.linspace(-half, half, args.samples)
     K, M, N, terms = stability.mn_decomposition_batch(seg, ts)
     rows = np.column_stack([ts, K, M, N, *terms])
-    if args.format == "json":
-        body = {
-            "a": seg.a,
-            "profile": [
-                {
-                    "t": float(r[0]),
-                    "K": float(r[1]),
-                    "M": float(r[2]),
-                    "N": float(r[3]),
-                    "terms": [float(v) for v in r[4:]],
-                }
-                for r in rows
-            ],
-        }
-        _emit(_json_report(spec, body), args.out)
-    else:
-        _emit(_csv_report(spec, ["t", "K", "M", "N", "I", "II", "III", "IV"], rows), args.out)
-    return 0
-
-
-def _cmd_stability(args) -> int:
-    config = load_config(args.config)
-    seg = _segment(args, config)
-    spec = RunSpec(
-        "stability",
+    profile = [
         {
-            "config": args.config,
-            "i": args.i,
-            "j": args.j,
-            "samples": args.samples,
-            "format": args.format,
-            "expect": args.expect,
-        },
-    )
+            "t": float(r[0]),
+            "K": float(r[1]),
+            "M": float(r[2]),
+            "N": float(r[3]),
+            "terms": [float(v) for v in r[4:]],
+        }
+        for r in rows
+    ]
+    return _Result({"a": seg.a, "profile": profile}, ["t", "K", "M", "N", "I", "II", "III", "IV"], rows)
+
+
+def _cmd_stability(args) -> _Result:
+    seg = stability.SegmentSurface(load_config(args.config), args.i, args.j)
     min_k, argmin_t = stability.strong_stability_scan(seg, args.samples)
     holds, s, threshold = stability.sufficient_condition(seg)
-    body = {
-        "min_K": min_k,
-        "argmin_t": argmin_t,
-        "strongly_stable": bool(min_k > 0),
-        "sufficient_condition": {"holds": holds, "s": s if np.isfinite(s) else None, "threshold": threshold},
-    }
-    if args.format == "json":
-        _emit(_json_report(spec, body), args.out)
-    else:
-        rows = [[min_k, argmin_t, holds, s if np.isfinite(s) else "inf", threshold]]
-        _emit(
-            _csv_report(spec, ["min_K", "argmin_t", "sufficient_holds", "s", "threshold"], rows),
-            args.out,
-        )
-    return _check_expect(args.expect, min_k > 0, f"min_K = {min_k:.6g}")
+    return _Result(
+        {
+            "min_K": min_k,
+            "argmin_t": argmin_t,
+            "strongly_stable": bool(min_k > 0),
+            "sufficient_condition": {"holds": holds, "s": s if np.isfinite(s) else None, "threshold": threshold},
+        },
+        ["min_K", "argmin_t", "sufficient_holds", "s", "threshold"],
+        [[min_k, argmin_t, holds, s if np.isfinite(s) else "inf", threshold]],
+        sign=_sign(min_k > 0),
+        failure=f"min_K = {min_k:.6g}",
+    )
 
 
-def _cmd_geodesics(args) -> int:
+def _cmd_geodesics(args) -> _Result:
     config = load_config(args.config)
     strategy = geodesics.SeedStrategy(random=args.random, seed=args.seed)
-    spec = RunSpec(
-        "geodesics",
-        {
-            "config": args.config,
-            "random": args.random,
-            "seed": args.seed,
-            "format": args.format,
-        },
-    )
     points = geodesics.find_critical_points(config, strategy)
-    if args.format == "json":
-        _emit(_json_report(spec, {"critical_points": [p.to_dict() for p in points]}), args.out)
-    else:
-        rows = [
-            [*p.x, p.residual, p.length, p.in_hull, *p.hessian_signature]
-            for p in points
-        ]
-        _emit(
-            _csv_report(
-                spec,
-                ["x", "y", "z", "residual", "length", "in_hull", "sig_neg", "sig_zero", "sig_pos"],
-                rows,
-            ),
-            args.out,
-        )
-    return 0
+    return _Result(
+        {"critical_points": [p.to_dict() for p in points]},
+        ["x", "y", "z", "residual", "length", "in_hull", "sig_neg", "sig_zero", "sig_pos"],
+        [[*p.x, p.residual, p.length, p.in_hull, *p.hessian_signature] for p in points],
+    )
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -339,26 +228,32 @@ def _parse_rational(text: str) -> Fraction:
         raise GHConvexError(f"not a rational number: {text!r}") from exc
 
 
-def _cmd_counterexample(args) -> int:
+def _cmd_counterexample(args) -> _Result:
     a = _parse_rational(args.a)
     eps = _parse_rational(args.eps)
     m = _parse_rational(args.m)
     value = stability.counterexample_closed_form(a, eps, m)
-    spec = RunSpec(
-        "counterexample",
-        {"a": str(a), "eps": str(eps), "m": str(m), "format": args.format, "expect": args.expect},
-    )
+    args.a, args.eps, args.m = str(a), str(eps), str(m)
     exact = str(value)
     approx = float(value)
-    if args.format == "json":
-        body = {"value": exact, "value_float": approx, "certifies_instability": bool(approx > 0)}
-        _emit(_json_report(spec, body), args.out)
-    else:
-        _emit(
-            _csv_report(spec, ["a", "eps", "m", "value", "value_float"], [[str(a), str(eps), str(m), exact, _fmt(approx)]]),
-            args.out,
-        )
-    return _check_expect(args.expect, approx > 0, f"closed form = {exact}")
+    return _Result(
+        {"value": exact, "value_float": approx, "certifies_instability": bool(approx > 0)},
+        ["a", "eps", "m", "value", "value_float"],
+        [[str(a), str(eps), str(m), exact, _fmt(approx)]],
+        sign=_sign(approx > 0),
+        failure=f"closed form = {exact}",
+    )
+
+
+def _count(text: str) -> int:
+    """argparse type of sample and step counts: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
 
 
 def _vec3(text: str) -> list[float]:
@@ -412,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=["sphere", "cylinder", "plane", "codim2"])
     p.add_argument("--pmin", type=float, required=True, help="first swept radius/offset")
     p.add_argument("--pmax", type=float, required=True, help="last swept radius/offset")
-    p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--dirs", type=int, default=512, help="samples per swept value")
+    p.add_argument("--steps", type=_count, default=50)
+    p.add_argument("--dirs", type=_count, default=512, help="samples per swept value")
     p.add_argument("--direction", type=_vec3, help="plane direction (default e3)")
     common(p)
     p.set_defaults(func=_cmd_margins)
@@ -422,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--i", type=int, required=True, help="first endpoint centre index")
     p.add_argument("--j", type=int, required=True, help="second endpoint centre index")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_count, default=200)
     common(p, seed=False)
-    p.set_defaults(func=_cmd_curvature, seed=0)
+    p.set_defaults(func=_cmd_curvature)
 
     p = sub.add_parser("stability", help="strong-stability scan of a segment surface")
     p.add_argument("--config", required=True)
@@ -433,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--expect", choices=["positive", "negative"])
     common(p, seed=False)
-    p.set_defaults(func=_cmd_stability, seed=0)
+    p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("geodesics", help="invariant closed geodesics (critical points)")
     p.add_argument("--config", required=True)
@@ -447,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", default="0", help="mass term (rational)")
     p.add_argument("--expect", choices=["positive", "negative"])
     common(p, seed=False)
-    p.set_defaults(func=_cmd_counterexample, seed=0)
+    p.set_defaults(func=_cmd_counterexample)
 
     return ap
 
@@ -457,11 +352,8 @@ def run(argv: Optional[list[str]] = None) -> int:
     args = ap.parse_args(argv)
     print(f"seed: {getattr(args, 'seed', 0)}", file=sys.stderr)
     try:
-        return args.func(args)
-    except GHConvexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+        return _write_report(args, args.func(args))
+    except (GHConvexError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,6 @@ from .errors import InvalidK, InvalidParams, NotSymmetric, TooFewSamples
 from .potential import CHUNK, PointConfiguration, jet
 from .surfaces import (
     BarrierSurface,
-    MultiFociEllipsoid,
     Plane,
     chart_domain,
     lifted_sff_batch,
@@ -45,9 +44,19 @@ MARGIN_TOL = 1e-9  # relative to ||S||: below this a verdict is Inconclusive
 # eigvals3_batch sends rows with 1 - |r| below this to LAPACK; above it the
 # arccos form's error, ~eps / sqrt(1 - |r|), stays near 1e-13 ||S||
 CLUSTER_TOL = 1e-6
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    exposes one, else the host's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # Threads convexity_scan runs its chunks on: numpy releases the GIL inside
 # its loops, so chunks overlap on separate cores
-SCAN_THREADS = min(4, os.cpu_count() or 1)
+SCAN_THREADS = min(4, _usable_cpus())
 
 
 def _check_symmetric(S: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -138,33 +147,27 @@ def _eigensum_batch(S: np.ndarray, k: int) -> np.ndarray:
 def brute_force_grassmannian_min(S: np.ndarray, k: int, n: int, seed: int = 0) -> float:
     """Monte Carlo upper bound: min of Tr_W S over n uniform k-planes.
 
-    Gaussian frames orthonormalized by Gram-Schmidt give Haar-uniform
-    subspaces; with a fixed seed the sample set is nested in n, so the
-    result is monotone nonincreasing as n grows.  k = 3 is the single
-    subspace G(3, R^3) = {R^3}: the trace is returned exactly.
+    Normalised Gaussian vectors u are Haar-uniform on the sphere.  k = 1
+    takes min u^T S u; k = 2 takes Tr S - max u^T S u, since the plane
+    orthogonal to a Haar-uniform normal is Haar-uniform on G(2, 3).  With a
+    fixed seed the sample set is nested in n, so the result is monotone
+    nonincreasing as n grows.  k = 3 is the single subspace G(3, R^3) =
+    {R^3}: the trace is returned exactly.
     """
     S = _check_symmetric(S)
     if k not in (1, 2, 3):
         raise InvalidK(f"k must be 1, 2 or 3, got {k}")
     if n < 10 ** 3:
         raise InvalidParams(f"need n >= 1000 samples, got {n}")
+    trace = float(S[0, 0] + S[1, 1] + S[2, 2])
     if k == 3:
-        return float(S[0, 0] + S[1, 1] + S[2, 2])
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((n, 3, k))
-    q0 = G[:, :, 0]
-    n0 = np.linalg.norm(q0, axis=1)
-    keep = n0 > 1e-12
-    q0 = q0[keep] / n0[keep, None]
-    vals = np.einsum("ni,ij,nj->n", q0, S, q0)
-    if k == 2:
-        g1 = G[keep, :, 1]
-        w = g1 - np.einsum("ni,ni->n", q0, g1)[:, None] * q0
-        n1 = np.linalg.norm(w, axis=1)
-        keep1 = n1 > 1e-12
-        q1 = w[keep1] / n1[keep1, None]
-        vals = vals[keep1] + np.einsum("ni,ij,nj->n", q1, S, q1)
-    return float(vals.min())
+        return trace
+    u = np.random.default_rng(seed).standard_normal((n, 3))
+    norms = np.linalg.norm(u, axis=1)
+    keep = norms > 1e-12
+    u = u[keep] / norms[keep, None]
+    quad = ((u @ S) * u).sum(axis=1)
+    return float(quad.min()) if k == 1 else trace - float(quad.max())
 
 
 def sylvester_positive(S: np.ndarray) -> bool:

@@ -41,13 +41,21 @@ EXCLUSION_SCALE = 1e-9
 CHUNK = 2048
 
 
-def _as_point(p: Any) -> np.ndarray:
-    a = np.asarray(p, dtype=float)
-    if a.shape != (3,):
-        raise InvalidParams(f"centre must be a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidParams("centre coordinates must be finite")
+def _vec3(p: Any, what: str) -> np.ndarray:
+    """p as a new finite float 3-vector; InvalidParams naming it otherwise."""
+    a = np.array(p, dtype=float)
+    if a.shape != (3,) or not np.all(np.isfinite(a)):
+        raise InvalidParams(f"{what} must be a finite 3-vector")
     return a
+
+
+def _unit(w: Any, what: str) -> np.ndarray:
+    """w / |w| for a finite, nonzero 3-vector w."""
+    w = _vec3(w, what)
+    n = float(np.linalg.norm(w))
+    if n < 1e-12:
+        raise InvalidParams(f"{what} must be nonzero")
+    return w / n
 
 
 @dataclass(frozen=True)
@@ -135,7 +143,7 @@ def make_config(mass: float, centres: Iterable[tuple[Sequence[float], int]]) -> 
     pts = []
     mults = []
     for p, c in centres:
-        pts.append(_as_point(p))
+        pts.append(_vec3(p, "centre"))
         mults.append(int(c))
     if pts:
         return PointConfiguration(mass, np.array(pts), np.array(mults))
@@ -257,7 +265,7 @@ def phi_jet(config: PointConfiguration, x: Sequence[float]) -> PotentialJet:
     InvalidParams
         If x is not a finite 3-vector.
     """
-    x = _as_point(x)
+    x = _vec3(x, "evaluation point")
     vals, grads, hesss = phi_jet_batch(config, x[None, :])
     return PotentialJet(float(vals[0]), grads[0], hesss[0])
 

@@ -4,10 +4,10 @@ Each family provides a chart, a Euclidean orthonormal frame {u, v, nu} with
 nu = u x v the inward unit normal, the Euclidean second fundamental form of
 the surface in the (u, v) basis with respect to nu, and its trace.
 
-``lifted_sff`` turns that Euclidean data plus the jet of phi into the second
-fundamental form of the circle-invariant hypersurface upstairs, expressed in
-the g-orthonormal basis (phi^-1/2 u, phi^-1/2 v, phi^1/2 xi) with respect to
-the g-unit normal nu~ = phi^-1/2 nu:
+``lifted_sff_batch`` turns that Euclidean data plus the jet of phi into the
+second fundamental form of the circle-invariant hypersurface upstairs,
+expressed in the g-orthonormal basis (phi^-1/2 u, phi^-1/2 v, phi^1/2 xi)
+with respect to the g-unit normal nu~ = phi^-1/2 nu:
 
     S_uu = phi^-1/2 ( Gem(u,u) - (2 phi)^-1 <grad phi, nu> )
     S_vv = phi^-1/2 ( Gem(v,v) - (2 phi)^-1 <grad phi, nu> )
@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ChartDomainError, InvalidParams, SolverFailure
-from .potential import PointConfiguration, PotentialJet, phi_jet, phi_jet_batch
+from .potential import PointConfiguration, _unit, _vec3, phi_jet_batch
 
 __all__ = [
     "Sphere",
@@ -58,16 +58,6 @@ MULTIFOCI_SWEEPS = 60
 MULTIFOCI_RTOL = 1e-12
 
 
-def _unit(w: Sequence[float], what: str) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.shape != (3,) or not np.all(np.isfinite(w)):
-        raise InvalidParams(f"{what} must be a finite 3-vector")
-    n = float(np.linalg.norm(w))
-    if n < 1e-12:
-        raise InvalidParams(f"{what} must be nonzero")
-    return w / n
-
-
 def _orthobasis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal (t1, t2) with t1 x t2 = n for a unit vector n."""
     h = np.zeros(3)
@@ -90,9 +80,7 @@ class Sphere:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise InvalidParams(f"sphere radius must be > 0, got {self.radius}")
-        c = np.array(self.centre, dtype=float)
-        if c.shape != (3,) or not np.all(np.isfinite(c)):
-            raise InvalidParams("sphere centre must be a finite 3-vector")
+        c = _vec3(self.centre, "sphere centre")
         c.setflags(write=False)
         object.__setattr__(self, "centre", c)
 
@@ -114,9 +102,7 @@ class Cylinder:
             raise InvalidParams(f"cylinder radius must be > 0, got {self.radius}")
         if not (np.isfinite(self.span) and self.span > 0):
             raise InvalidParams("cylinder span must be > 0")
-        p = np.array(self.axis_point, dtype=float)
-        if p.shape != (3,) or not np.all(np.isfinite(p)):
-            raise InvalidParams("axis point must be a finite 3-vector")
+        p = _vec3(self.axis_point, "axis point")
         w = _unit(self.axis_direction, "axis direction")
         b1, b2 = _orthobasis(w)
         for name, val in (("axis_point", p), ("axis_direction", w), ("_b1", b1), ("_b2", b2)):
@@ -431,25 +417,10 @@ def surface_point(surface: BarrierSurface, params: Sequence[float]) -> SurfacePo
 
 
 def lifted_sff(config: PointConfiguration, data: SurfacePointData) -> AdaptedSFF:
-    """Second fundamental form of the circle-invariant hypersurface.
-
-    Literal transcription of the six entry formulas; the batch variant uses
-    the equivalent in-frame components and is cross-checked in tests.
-    """
-    jet = phi_jet(config, data.x)
-    phi = jet.value
-    grad = jet.gradient
-    f = phi ** -0.5
-    q = 0.5 / phi
-    gn = float(grad @ data.nu)
-    S = np.empty((3, 3))
-    S[0, 0] = f * (data.sff_r3[0, 0] - q * gn)
-    S[1, 1] = f * (data.sff_r3[1, 1] - q * gn)
-    S[0, 1] = S[1, 0] = f * data.sff_r3[0, 1]
-    S[2, 2] = f * q * gn
-    S[0, 2] = S[2, 0] = -f * q * float(np.cross(data.u, grad) @ data.nu)
-    S[1, 2] = S[2, 1] = -f * q * float(np.cross(data.v, grad) @ data.nu)
-    return AdaptedSFF(S)
+    """Second fundamental form of the circle-invariant hypersurface at one
+    point: ``lifted_sff_batch`` on a single row."""
+    rows = (np.asarray(a, dtype=float)[None] for a in (data.x, data.u, data.v, data.nu, data.sff_r3))
+    return AdaptedSFF(lifted_sff_batch(config, *rows)[0])
 
 
 def lifted_sff_batch(
@@ -481,10 +452,9 @@ def lifted_sff_batch(
 
 
 def lifted_mean_curvature(config: PointConfiguration, data: SurfacePointData) -> float:
-    """Coefficient h with mean curvature vector H = h * (phi^-1/2 nu)."""
-    jet = phi_jet(config, data.x)
-    gn = float(jet.gradient @ data.nu)
-    return jet.value ** -0.5 * (data.mean_r3 - 0.5 * gn / jet.value)
+    """Coefficient h with mean curvature vector H = h * (phi^-1/2 nu): the
+    trace of the lifted form."""
+    return float(np.trace(lifted_sff(config, data).matrix))
 
 
 # --- JSON surface specifications ------------------------------------------

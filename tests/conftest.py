@@ -1,12 +1,13 @@
-"""Shared helpers: randomized centre configurations, off-centre probes and
-the reference jet."""
+"""Shared helpers: randomized centre configurations, off-centre probes, the
+reference jet and the reference connection coefficients."""
 from __future__ import annotations
 
+import itertools
 import sys
 
 import numpy as np
 
-from ghconvex import make_config
+from ghconvex import make_config, phi_jet
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -73,3 +74,51 @@ def reference_jet(mass, points, multiplicities, xs):
     hesss = 1.5 * np.einsum("k,nk,nkij->nij", c, inv_r5, outer)
     hesss -= 0.5 * np.einsum("k,nk->n", c, inv_r3)[:, None, None] * np.eye(3)
     return vals, grads, hesss
+
+
+def perm_sign(i, j, k):
+    if len({i, j, k}) < 3:
+        return 0
+    sign = 1
+    seq = [i, j, k]
+    for a in range(3):
+        for b in range(a + 1, 3):
+            if seq[a] > seq[b]:
+                seq[a], seq[b] = seq[b], seq[a]
+                sign = -sign
+    return sign
+
+
+def reference_gamma(config, x):
+    """gamma[a, b, c] = <nabla_{e_a} e_b, e_c> of the adapted orthonormal
+    frame of g = phi^-1 eta^2 + phi g_R3: e_0 = phi^(1/2) xi along the fibre,
+    e_i = phi^(-1/2) d/dx_i horizontal, s = 1/(2 phi^(3/2)):
+
+        nabla_{e_0} e_0 =  s * sum_i  d_i phi e_i
+        nabla_{e_i} e_0 = -s * sum_jk eps_ijk d_j phi e_k
+        nabla_{e_0} e_i = -s * (d_i phi e_0 + sum_jk eps_ijk d_j phi e_k)
+        nabla_{e_i} e_j =  s * (d_j phi e_i - sum_k (eps_ijk d_k phi e_0
+                                                     + delta_ij d_k phi e_k))
+
+    Direct loop evaluation, kept deliberately naive: the test oracle for the
+    lifted second fundamental form."""
+    jet = phi_jet(config, x)
+    phi, dphi = jet.value, jet.gradient
+    s = 0.5 * phi ** -1.5
+    gamma = np.zeros((4, 4, 4))
+    for i in range(1, 4):
+        gamma[0, 0, i] = s * dphi[i - 1]
+        gamma[0, i, 0] = -s * dphi[i - 1]
+    A = np.zeros((3, 3))
+    for i, j, k in itertools.product(range(3), repeat=3):
+        A[i, k] += perm_sign(i, j, k) * dphi[j]
+    for i in range(1, 4):
+        for k in range(1, 4):
+            gamma[i, 0, k] = -s * A[i - 1, k - 1]
+            gamma[0, i, k] = -s * A[i - 1, k - 1]
+            gamma[i, k, 0] = s * A[i - 1, k - 1]
+    for i, j, k in itertools.product(range(1, 4), repeat=3):
+        gamma[i, j, k] = s * (
+            dphi[j - 1] * (1 if i == k else 0) - (1 if i == j else 0) * dphi[k - 1]
+        )
+    return gamma

@@ -259,3 +259,13 @@ def test_cylinder_and_plane_margin_curves():
     offsets = top.max() + np.linspace(0.5, 3.0, 5)
     for pt in plane_margin_curve(cfg, (0, 0, 1), offsets, n_samples=256):
         assert pt.margin > 0
+
+
+def test_margin_frames_reject_bad_vectors():
+    cfg = make_config(0.0, [((0.0, 0.0, 1.0), 1), ((0.0, 0.0, -1.0), 1)])
+    with pytest.raises(InvalidParams, match="plane direction must be nonzero"):
+        plane_margin_curve(cfg, (0.0, 0.0, 0.0), [2.0], n_samples=8)
+    with pytest.raises(InvalidParams, match="axis point must be a finite 3-vector"):
+        cylinder_margin_curve(cfg, [3.0], axis=((np.nan, 0.0, 0.0), (0.0, 0.0, 1.0)), n_samples=8)
+    with pytest.raises(InvalidParams, match="axis direction must be a finite 3-vector"):
+        cylinder_threshold(cfg, axis=((0.0, 0.0, 0.0), (0.0, np.inf, 1.0)))

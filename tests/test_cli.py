@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ghconvex
 from ghconvex.cli import run
 
 
@@ -206,11 +209,42 @@ def test_usage_and_validation_errors(cfg_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["margins", "--family", "sphere", "--steps", "-1"],
+        ["margins", "--family", "sphere", "--dirs", "0"],
+        ["margins", "--family", "cylinder", "--dirs", "0"],
+        ["margins", "--family", "plane", "--steps", "0"],
+        ["margins", "--family", "codim2", "--dirs", "two"],
+        ["curvature", "--i", "0", "--j", "1", "--samples", "-3"],
+    ],
+)
+def test_non_positive_counts_are_usage_errors(cfg_file, argv, capsys):
+    extra = ["--pmin", "2", "--pmax", "3"] if argv[0] == "margins" else []
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--config", cfg_file] + extra)
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
+def test_zero_plane_direction_is_named(cfg_file, capsys):
+    rc = run(["margins", "--config", cfg_file, "--family", "plane", "--direction", "0,0,0",
+              "--pmin", "2", "--pmax", "3", "--steps", "2", "--dirs", "8"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: plane direction must be nonzero" in err
+
+
 def test_console_entry_point():
+    # the child imports the same ghconvex package as this test, installed or not
+    src = str(Path(ghconvex.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "ghconvex.cli", "constants", "--kmax", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -316,7 +316,9 @@ def test_scan_runs_one_jet_pass_per_chunk(monkeypatch):
     n = 40 * 40 + 3000
     rep = convexity_scan(cfg, sphere, 2, ScanSampling(grid=(40, 40), random=3000))
     assert rep.samples + rep.skipped == n
-    assert calls == [(min(CHUNK, n - lo), 1) for lo in range(0, n, CHUNK)]
+    # pool threads may record their calls out of chunk order; the order the
+    # results are combined in is test_scan_repeats_byte_identical's subject
+    assert sorted(calls) == sorted((min(CHUNK, n - lo), 1) for lo in range(0, n, CHUNK))
     assert len(calls) == math.ceil(n / CHUNK)
 
 
@@ -395,3 +397,12 @@ def test_scan_propagates_solver_failure_from_a_worker(monkeypatch):
     foci = MultiFociEllipsoid([[1.0, 0.0, 0.0], [-0.5, 0.8, 0.0], [-0.5, -0.8, 0.0]], 4.0)
     with pytest.raises(SolverFailure, match=r"on \d+ of \d+ rows"):
         convexity_scan(cfg, foci, 1, ScanSampling(grid=(64, 64), random=0))
+
+
+def test_scan_threads_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(convexity_module.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert convexity_module._usable_cpus() == 1
+    # platforms without an affinity call fall back to the host's count
+    monkeypatch.delattr(convexity_module.os, "sched_getaffinity")
+    monkeypatch.setattr(convexity_module.os, "cpu_count", lambda: 6)
+    assert convexity_module._usable_cpus() == 6

@@ -22,11 +22,12 @@ from ghconvex import (
     lifted_sff_batch,
     make_config,
     parse_surface,
+    phi_jet,
     surface_data_batch,
     surface_point,
 )
 
-from conftest import random_config
+from conftest import random_config, reference_gamma
 
 FAMILIES = [
     Sphere(1.7, centre=(0.2, -0.3, 0.5)),
@@ -193,7 +194,10 @@ def test_batch_matches_scalar_points():
             assert MEAN[i] == pytest.approx(d.mean_r3, rel=1e-13)
 
 
-def test_lifted_sff_scalar_vs_batch():
+def test_lifted_sff_matches_connection_oracle():
+    # S from Euclidean data and the frame connection alone: on horizontal
+    # pairs (a, b) in {u, v}, phi^-1/2 sff_r3[a, b] + sum gamma[i, j, k] a_i
+    # b_j nu_k; on the fibre rows, gamma[0, 0, .] and gamma[i, 0, .] against nu
     rng = np.random.default_rng(8)
     cfg = random_config(rng, k=3, box=5.0)
     for surface in FAMILIES:
@@ -202,16 +206,26 @@ def test_lifted_sff_scalar_vs_batch():
         keep = np.linalg.norm(
             X[:, None, :] - cfg.points[None, :, :], axis=2
         ).min(axis=1) > 0.05
+        assert keep.sum() >= 5
         S = lifted_sff_batch(cfg, X[keep], U[keep], V[keep], NU[keep], SFF[keep])
-        idx = np.flatnonzero(keep)
-        for row, i in enumerate(idx):
+        for row, i in enumerate(np.flatnonzero(keep)):
+            g = reference_gamma(cfg, X[i])
+            f = phi_jet(cfg, X[i]).value ** -0.5
+            tangent = (U[i], V[i])
+            want = np.empty((3, 3))
+            for a in range(2):
+                for b in range(2):
+                    want[a, b] = f * SFF[i, a, b] + np.einsum(
+                        "ijk,i,j,k->", g[1:, 1:, 1:], tangent[a], tangent[b], NU[i]
+                    )
+                want[a, 2] = want[2, a] = np.einsum("ik,i,k->", g[1:, 0, 1:], tangent[a], NU[i])
+            want[2, 2] = g[0, 0, 1:] @ NU[i]
+            tol = 1e-12 * np.linalg.norm(want)
+            np.testing.assert_allclose(S[row], want, rtol=0, atol=tol)
+            # the single-point routes read the same form
             d = surface_point(surface, P[i])
-            single = lifted_sff(cfg, d).matrix
-            np.testing.assert_allclose(S[row], single, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(single, single.T, atol=1e-15)
-            assert np.trace(single) == pytest.approx(
-                lifted_mean_curvature(cfg, d), rel=1e-10, abs=1e-12
-            )
+            np.testing.assert_allclose(lifted_sff(cfg, d).matrix, want, rtol=0, atol=tol)
+            assert lifted_mean_curvature(cfg, d) == pytest.approx(np.trace(want), abs=tol)
 
 
 def test_flat_lift_of_round_sphere():
