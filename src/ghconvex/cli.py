@@ -44,7 +44,7 @@ class _Result(NamedTuple):
 
     body: dict
     header: list[str]
-    rows: Iterable
+    rows: Optional[Iterable]
     trailer: Optional[str] = None
     sign: Optional[str] = None
     failure: str = ""

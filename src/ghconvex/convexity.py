@@ -162,11 +162,11 @@ def brute_force_grassmannian_min(S: np.ndarray, k: int, n: int, seed: int = 0) -
     trace = float(S[0, 0] + S[1, 1] + S[2, 2])
     if k == 3:
         return trace
-    u = np.random.default_rng(seed).standard_normal((n, 3))
-    norms = np.linalg.norm(u, axis=1)
-    keep = norms > 1e-12
-    u = u[keep] / norms[keep, None]
-    quad = ((u @ S) * u).sum(axis=1)
+    g = np.random.default_rng(seed).standard_normal((n, 3))
+    sq = np.einsum("ni,ni->n", g, g)
+    keep = sq > 1e-24
+    # u^T S u for u = g / |g|, without normalising the rows
+    quad = np.einsum("ni,ni->n", g @ S, g)[keep] / sq[keep]
     return float(quad.min()) if k == 1 else trace - float(quad.max())
 
 
