@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from . import barriers, convexity, geodesics, stability
-from .errors import GHConvexError
+from .errors import GHConvexError, InvalidParams
 from .potential import load_config
 from .surfaces import parse_surface
 
@@ -85,19 +85,24 @@ def _sign(positive: bool) -> str:
 def _surface_from_args(args) -> dict:
     """Surface spec from --surface (JSON text, @file, or family name plus
     family flags like --r/--a/--level).  The family flags move out of args
-    into the spec, so the run spec records only the resolved surface."""
+    into the spec, so the run spec records only the resolved surface; with
+    a JSON or @file surface they are a usage error."""
     flags = {
         key: vars(args).pop(key)
         for key in ("r", "a", "level", "offset", "span", "centre", "point", "axis", "normal", "foci")
     }
+    flags = {key: val for key, val in flags.items() if val is not None}
     s = args.surface
+    if flags and (s.startswith("@") or s.strip().startswith("{")):
+        given = ", ".join(f"--{key}" for key in flags)
+        raise InvalidParams(f"{given} cannot be combined with a JSON or @file --surface")
     if s.startswith("@"):
         with open(s[1:], "r", encoding="utf-8") as fh:
             return json.load(fh)
     s = s.strip()
     if s.startswith("{"):
         return json.loads(s)
-    spec = {"family": s, **{key: val for key, val in flags.items() if val is not None}}
+    spec = {"family": s, **flags}
     if "foci" in spec:
         spec["foci"] = json.loads(spec["foci"])
     return spec

@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import InvalidK, InvalidParams, NotSymmetric, TooFewSamples
-from .potential import CHUNK, PointConfiguration, jet
+from .potential import PointConfiguration, jet
 from .surfaces import (
     BarrierSurface,
     Plane,
@@ -54,9 +54,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# Threads convexity_scan runs its chunks on: numpy releases the GIL inside
-# its loops, so chunks overlap on separate cores
+# Threads convexity_scan runs its shares on: numpy releases the GIL inside
+# its loops, so shares overlap on separate cores
 SCAN_THREADS = min(4, _usable_cpus())
+
+# Most rows in one scan share.  The samples split into a multiple of
+# SCAN_THREADS near-equal shares of at most SCAN_ROWS rows, each one task and
+# one jet call: few tasks keep the GIL-held numpy call overhead low, and the
+# cap keeps the memory in flight independent of the sample count.
+SCAN_ROWS = 8192
 
 
 def _check_symmetric(S: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -71,24 +77,17 @@ def _check_symmetric(S: np.ndarray, what: str = "matrix") -> np.ndarray:
     return S
 
 
-def eigvals3_batch(S: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of symmetric (N, 3, 3) input, shape (N, 3).
-
-    Trigonometric closed form; rows whose characteristic discriminant is
-    near zero (clustered eigenvalues, |r| -> 1), where the arccos loses
-    digits, go to LAPACK in one call.
-    """
-    S = np.asarray(S, dtype=float)
-    single = S.ndim == 2
-    if single:
-        S = S[None, :, :]
+def _eigvals3_parts(S: np.ndarray) -> tuple:
+    """Trigonometric closed form of (N, 3, 3) symmetric input: mean q,
+    spread p and angle phi, so the eigenvalues are q + 2p cos(phi + 2j pi/3),
+    plus the rows it leaves to other routes: diag_like (all eigenvalues q)
+    and clustered (1 - |r| < CLUSTER_TOL, for LAPACK)."""
     a00, a11, a22 = S[:, 0, 0], S[:, 1, 1], S[:, 2, 2]
     a01, a02, a12 = S[:, 0, 1], S[:, 0, 2], S[:, 1, 2]
     q = (a00 + a11 + a22) / 3.0
     p1 = a01 ** 2 + a02 ** 2 + a12 ** 2
     p2 = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * p1
     p = np.sqrt(p2 / 6.0)
-    out = np.empty((S.shape[0], 3))
     scale = np.abs(S).max(axis=(1, 2))
     diag_like = p <= 1e-14 * np.maximum(1e-300, scale)
     safe_p = np.where(p > 0.0, p, 1.0)
@@ -101,6 +100,25 @@ def eigvals3_batch(S: np.ndarray) -> np.ndarray:
     )
     r = np.clip(detb / 2.0, -1.0, 1.0)
     phi = np.arccos(r) / 3.0
+    # In exact arithmetic |detb/2| <= 1; rows near the boundary have a
+    # (near-)repeated eigenvalue and get the LAPACK treatment instead.
+    clustered = (~diag_like) & (1.0 - np.abs(r) < CLUSTER_TOL)
+    return q, p, phi, diag_like, clustered
+
+
+def eigvals3_batch(S: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of symmetric (N, 3, 3) input, shape (N, 3).
+
+    Trigonometric closed form; rows whose characteristic discriminant is
+    near zero (clustered eigenvalues, |r| -> 1), where the arccos loses
+    digits, go to LAPACK in one call.
+    """
+    S = np.asarray(S, dtype=float)
+    single = S.ndim == 2
+    if single:
+        S = S[None, :, :]
+    q, p, phi, diag_like, clustered = _eigvals3_parts(S)
+    out = np.empty((S.shape[0], 3))
     hi = q + 2.0 * p * np.cos(phi)
     lo = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
     mid = 3.0 * q - hi - lo
@@ -108,11 +126,18 @@ def eigvals3_batch(S: np.ndarray) -> np.ndarray:
     out[:, 1] = mid
     out[:, 2] = hi
     out[diag_like] = q[diag_like, None]
-    # In exact arithmetic |detb/2| <= 1; rows near the boundary have a
-    # (near-)repeated eigenvalue and get the LAPACK treatment instead.
-    clustered = (~diag_like) & (1.0 - np.abs(r) < CLUSTER_TOL)
     out[clustered] = np.linalg.eigvalsh(S[clustered])
     return out[0] if single else out
+
+
+def _smallest_eigvals3(S: np.ndarray) -> np.ndarray:
+    """eigvals3_batch(S)[:, 0] of (N, 3, 3) input, bit for bit, without
+    computing the other two eigenvalues."""
+    q, p, phi, diag_like, clustered = _eigvals3_parts(S)
+    lo = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
+    lo[diag_like] = q[diag_like]
+    lo[clustered] = np.linalg.eigvalsh(S[clustered])[:, 0]
+    return lo
 
 
 def eigvals3(S: np.ndarray) -> np.ndarray:
@@ -138,9 +163,9 @@ def k_smallest_eigensum(S: np.ndarray, k: int) -> float:
 def _eigensum_batch(S: np.ndarray, k: int) -> np.ndarray:
     if k == 3:
         return S[:, 0, 0] + S[:, 1, 1] + S[:, 2, 2]
-    lam = eigvals3_batch(S)
     if k == 1:
-        return lam[:, 0]
+        return _smallest_eigvals3(S)
+    lam = eigvals3_batch(S)
     return lam[:, 0] + lam[:, 1]
 
 
@@ -218,9 +243,11 @@ class ConvexityReport:
 
 
 def _scan_params(surface: BarrierSurface, sampling: ScanSampling) -> Iterator[np.ndarray]:
-    """Chart samples CHUNK rows at a time: the cell-midpoint grid in
+    """Chart samples one share at a time: the cell-midpoint grid in
     row-major order, then the seeded uniform draws (one stream across
-    chunks, so chunking leaves them unchanged)."""
+    shares, so the split leaves them unchanged).  The n samples go in
+    m = SCAN_THREADS * ceil(n / (SCAN_THREADS * SCAN_ROWS)) near-equal
+    shares, at most one per sample."""
     (lo0, hi0), (lo1, hi1) = chart_domain(surface)
     g0, g1 = sampling.grid
     if g0 < 1 or g1 < 1:
@@ -233,8 +260,9 @@ def _scan_params(surface: BarrierSurface, sampling: ScanSampling) -> Iterator[np
     rng = np.random.default_rng(sampling.seed)
     # keep polar angles off the chart poles
     eps1 = 1e-9 * (hi1 - lo1)
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
+    m = min(n, SCAN_THREADS * -(-n // (SCAN_THREADS * SCAN_ROWS)))
+    for j in range(m):
+        lo, hi = n * j // m, n * (j + 1) // m
         i = np.arange(lo, min(hi, n_grid))
         R = rng.random((max(0, hi - max(lo, n_grid)), 2))
         R[:, 0] = lo0 + (hi0 - lo0) * R[:, 0]
@@ -245,15 +273,17 @@ def _scan_params(surface: BarrierSurface, sampling: ScanSampling) -> Iterator[np
 def _scan_chunk(
     config: PointConfiguration, surface: BarrierSurface, k: int, P: np.ndarray, keep_samples: bool
 ) -> tuple:
-    """One chunk of convexity_scan: surface data, one order-1 jet pass (its
+    """One share of convexity_scan: surface data, one order-1 jet pass (its
     nearest-centre distance is the exclusion check), the lift and the
     eigensum.  Returns (violated, strict, (min, P_i, X_i), samples, skipped,
     table)."""
     X, U, V, NU, SFF, _ = surface_data_batch(surface, P)
     dmin, _, vals, grads, _ = jet(config.mass, config.points, config.multiplicities, X, 1)
     ok = dmin > config.exclusion_radius
-    P, X = P[ok], X[ok]
-    S = lifted_sff_batch(config, X, U[ok], V[ok], NU[ok], SFF[ok], jet=(vals[ok], grads[ok]))
+    skipped = P.shape[0] - int(np.count_nonzero(ok))
+    if skipped:
+        P, X, U, V, NU, SFF, vals, grads = (a[ok] for a in (P, X, U, V, NU, SFF, vals, grads))
+    S = lifted_sff_batch(config, X, U, V, NU, SFF, jet=(vals, grads))
     margins = _eigensum_batch(S, k)
     scales = np.sqrt((S ** 2).sum(axis=(1, 2)))
     tol = MARGIN_TOL * scales
@@ -267,7 +297,7 @@ def _scan_chunk(
         bool(np.all(margins > tol)),
         best,
         margins.size,
-        int((~ok).sum()),
+        skipped,
         table,
     )
 
@@ -279,8 +309,8 @@ def _chunk_results(
     sampling: ScanSampling,
     keep_samples: bool,
 ) -> Iterator[tuple]:
-    """``_scan_chunk`` results in chunk order, computed on SCAN_THREADS
-    threads with at most 2 * SCAN_THREADS chunks in flight.  Each chunk runs
+    """``_scan_chunk`` results in share order, computed on SCAN_THREADS
+    threads with at most 2 * SCAN_THREADS shares in flight.  Each share runs
     in its own copy of the caller's context, so numpy's errstate and any
     context variables apply inside the workers."""
     with ThreadPoolExecutor(SCAN_THREADS) as pool:
@@ -308,12 +338,13 @@ def convexity_scan(
     more than 50% skipped raises TooFewSamples.  The verdict applies
     MARGIN_TOL relative to each sample's Frobenius norm: StrictlyConvex when
     every margin clears +tol*scale, Violated when any falls below
-    -tol*scale, Inconclusive otherwise.  Samples go CHUNK at a time through
+    -tol*scale, Inconclusive otherwise.  Samples go in shares of at most
+    SCAN_ROWS rows, a multiple of SCAN_THREADS of them, through
     ``_scan_chunk`` on a pool of SCAN_THREADS threads: memory is bounded by
-    threads x CHUNK, not by the sample count, unless keep_samples asks for
-    the table.  Results are combined in chunk order, so the first minimum
-    wins, the report does not depend on thread scheduling, and the earliest
-    failing chunk's exception is the one raised.
+    threads x SCAN_ROWS, not by the sample count, unless keep_samples asks
+    for the table.  Results are combined in share order, so the first
+    minimum wins, the report does not depend on thread scheduling, and the
+    earliest failing share's exception is the one raised.
     """
     if k not in (1, 2, 3):
         raise InvalidK(f"k must be 1, 2 or 3, got {k}")

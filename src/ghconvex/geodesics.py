@@ -90,7 +90,8 @@ def in_convex_hull(points: np.ndarray, x: Sequence[float], tol: float) -> bool:
 
     Solved as a small linear program (minimize the sup-norm gap between x
     and a convex combination), which stays robust for degenerate collinear
-    or coplanar hulls.
+    or coplanar hulls.  The answer is the gap of the returned weights,
+    recomputed: the LP's own optimum may use HiGHS's 1e-7 feasibility slack.
     """
     P = np.asarray(points, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -120,7 +121,10 @@ def in_convex_hull(points: np.ndarray, x: Sequence[float], tol: float) -> bool:
         bounds=[(0, None)] * k + [(0, None)],
         method="highs",
     )
-    return bool(res.success and res.fun <= tol)
+    if not res.success:
+        return False
+    lam = np.maximum(res.x[:k], 0.0)
+    return bool(np.abs(lam @ P / lam.sum() - x).max() <= tol)
 
 
 def _newton_batch(config: PointConfiguration, seeds: np.ndarray) -> np.ndarray:

@@ -36,9 +36,14 @@ __all__ = [
 # delta = EXCLUSION_SCALE * (1 + diameter) raises SingularPoint.
 EXCLUSION_SCALE = 1e-9
 
-# Rows per pass of the jet kernel (and of convexity_scan): bounds the
-# (rows, centres) temporaries independently of the sample count.
-CHUNK = 2048
+# Entries per (centres, rows) block of the jet kernel: 256 KB temporaries
+# for any centre count, independently of the number of rows.
+BLOCK = 2 ** 15
+
+
+def block_rows(k: int) -> int:
+    """Rows per jet-kernel block over k centres: BLOCK // k, at least 2."""
+    return max(2, BLOCK // max(k, 1))
 
 
 def _vec3(p: Any, what: str) -> np.ndarray:
@@ -177,13 +182,15 @@ def jet(
     phi (N,), grad phi (N, 3) from order 1 and Hess phi (N, 3, 3) at order
     2, else None.  No validation (the stability module's satellite-only
     potential may be identically zero): singular rows give inf/nan and
-    callers filter on dmin.  Rows go CHUNK at a time.
+    callers filter on dmin.  Rows go ``block_rows(k)`` at a time; a row's
+    sums do not depend on the block width.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     n = xs.shape[0]
-    if n % CHUNK == 1:
+    block = block_rows(len(multiplicities))
+    if n % block == 1:
         # numpy sums a lone column pairwise but wider blocks row by row: a
-        # duplicate row keeps a one-row chunk on the order of every other
+        # duplicate row keeps a one-row block on the order of every other
         xs = np.vstack([xs, xs[-1:]])
     rows = xs.shape[0]
     dmin = np.empty(rows)
@@ -194,8 +201,8 @@ def jet(
     c = np.asarray(multiplicities, dtype=float)[:, None]
     pc = np.asarray(points, dtype=float).T[:, :, None]     # (3, k, 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo in range(0, rows, CHUNK):
-            s = slice(lo, lo + CHUNK)
+        for lo in range(0, rows, block):
+            s = slice(lo, lo + block)
             # centre-major (k, rows) blocks reduced over axis 0, so numpy's
             # inner loops run over the rows; one difference component is
             # held at a time and recomputed where needed

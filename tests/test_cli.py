@@ -107,6 +107,11 @@ def test_scan_surface_json_text_and_file(cfg_file, tmp_path, capsys):
          "--grid", "16", "--random", "100"],
     )
     assert rc2 == 0 and doc2["min_eigensum"] == doc["min_eigensum"]
+    # family flags belong in the spec: beside a JSON surface they would be ignored
+    rc3 = run(["scan", "--config", cfg_file, "--surface", f"@{sfile}", "--a", "2",
+               "--centre", "0,0,1", "--grid", "8", "--random", "20"])
+    assert rc3 == 2
+    assert "--a, --centre cannot be combined" in capsys.readouterr().err
 
 
 def test_scan_seed_goes_to_stderr(cfg_file, capsys):

@@ -33,7 +33,7 @@ from ghconvex import (
     sylvester_positive,
 )
 from ghconvex.convexity import MARGIN_TOL, eigvals3_batch
-from ghconvex.potential import CHUNK, PointConfiguration
+from ghconvex.potential import PointConfiguration
 from ghconvex.surfaces import chart_domain, lifted_sff_batch, surface_data_batch
 
 from conftest import random_config, reference_jet
@@ -78,6 +78,20 @@ def test_eigvals3_near_repeated_spectra(gap):
         S = Q @ np.diag([lam, lam + gap, mu]) @ np.swapaxes(Q, 1, 2)
         err = np.abs(eigvals3_batch(S) - np.sort([lam, lam + gap, mu])).max(axis=1)
         assert np.all(err <= 1e-12 * np.linalg.norm(S, axis=(1, 2)))
+
+
+def test_smallest_eigenvalue_is_the_closed_forms_first():
+    # generic, clustered (LAPACK) and diagonal-like rows
+    rng = np.random.default_rng(7)
+    Q, R = np.linalg.qr(rng.standard_normal((300, 3, 3)))
+    Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+    S = np.concatenate([
+        random_symmetric(rng, 300),
+        Q @ np.diag([1.0, 1.0 + 1e-9, -2.0]) @ np.swapaxes(Q, 1, 2),
+        np.eye(3) * rng.standard_normal((300, 1, 1)),
+    ])
+    got = convexity_module._smallest_eigvals3(S)
+    assert got.tobytes() == eigvals3_batch(S)[:, 0].tobytes()
 
 
 def test_eigensum_definitions():
@@ -234,13 +248,19 @@ def _reference_scan(config, surface, k, sampling):
     return verdict, margins, scales, np.column_stack([P[ok], X[ok]]), int((~ok).sum())
 
 
+def _share_count(n):
+    """Shares of an n-sample scan by the documented rule."""
+    threads = convexity_module.SCAN_THREADS
+    return threads * math.ceil(n / (threads * convexity_module.SCAN_ROWS))
+
+
 def _scan_cases():
-    """(config, surface, sampling, skipped) cases; no sample count is a
-    multiple of CHUNK."""
+    """(config, surface, sampling, skipped) cases; on 3 threads no sample
+    count splits into equal shares."""
     rng = np.random.default_rng(17)
     cfg = random_config(rng, k=5, mass=1.0, box=1.5)
     # a centre exactly on equatorial grid sample (5, 26): that sample is
-    # skipped, and its violating neighbours all lie in the first chunk
+    # skipped, and its violating neighbours all lie in the first share
     sphere = Sphere(3.0)
     grid_only = ScanSampling(grid=(41, 53), random=0)
     (lo0, hi0), (lo1, hi1) = chart_domain(sphere)
@@ -249,8 +269,8 @@ def _scan_cases():
     onto = PointConfiguration(
         cfg.mass, np.vstack([cfg.points, on_surface]), np.append(cfg.multiplicities, 1)
     )
-    # 41 x 53 grid + 3000 draws: the grid ends inside the second chunk and
-    # the draws continue into the partial third
+    # 41 x 53 grid + 3000 draws: on 3 threads the grid ends inside the
+    # second share and the draws continue into the third
     mixed = ScanSampling(grid=(41, 53), random=3000, seed=3)
     below = Plane((0.0, 0.0, 1.0), float(cfg.points[:, 2].max()) + 0.7, span=4.0)
     foci = MultiFociEllipsoid(rng.uniform(-1.0, 1.0, (3, 3)), 6.0)
@@ -258,9 +278,11 @@ def _scan_cases():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_chunked_scan_matches_single_pass(k):
+def test_chunked_scan_matches_single_pass(k, monkeypatch):
+    monkeypatch.setattr(convexity_module, "SCAN_THREADS", 3)
     for cfg, surface, sampling, skips in _scan_cases():
-        assert (sampling.grid[0] * sampling.grid[1] + sampling.random) % CHUNK
+        shares = [P.shape[0] for P in convexity_module._scan_params(surface, sampling)]
+        assert len(shares) == 3 and len(set(shares)) == 2
         rep = convexity_scan(cfg, surface, k, sampling, keep_samples=True)
         verdict, margins, scales, PX, skipped = _reference_scan(cfg, surface, k, sampling)
         assert rep.verdict == verdict
@@ -276,24 +298,29 @@ def test_chunked_scan_matches_single_pass(k):
         np.testing.assert_allclose(table[:, 6], scales, rtol=1e-12)
 
 
-def _sphere50():
-    rng = np.random.default_rng(50)
-    cfg = random_config(rng, k=50, mass=0.0, max_mult=1)
+def _far_sphere(k=50):
+    rng = np.random.default_rng(k)
+    cfg = random_config(rng, k=k, mass=0.0, max_mult=1)
     return cfg, Sphere(5.1 * float(np.linalg.norm(cfg.points, axis=1).max()))
 
 
+def _traced_peak(cfg, sphere, sampling):
+    tracemalloc.start()
+    try:
+        convexity_scan(cfg, sphere, 1, sampling)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_scan_memory_does_not_grow_with_samples():
-    cfg, sphere = _sphere50()
+    cfg, sphere = _far_sphere()
     convexity_scan(cfg, sphere, 1, ScanSampling(grid=(8, 8), random=64))
-    peaks = []
-    for grid, random in (((128, 128), 10 ** 4), ((256, 256), 4 * 10 ** 4)):
-        tracemalloc.start()
-        try:
-            convexity_scan(cfg, sphere, 1, ScanSampling(grid=grid, random=random))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    small, large = ScanSampling(), ScanSampling(grid=(256, 256), random=4 * 10 ** 4)
+    peaks = [_traced_peak(cfg, sphere, sampling) for sampling in (small, large)]
     assert peaks[1] <= 1.2 * peaks[0]
+    # nor with the centre count: kernel blocks hold a fixed number of entries
+    assert _traced_peak(*_far_sphere(200), small) <= 1.2 * peaks[0]
 
 
 def test_scan_runs_one_jet_pass_per_chunk(monkeypatch):
@@ -312,23 +339,28 @@ def test_scan_runs_one_jet_pass_per_chunk(monkeypatch):
     monkeypatch.setattr(convexity_module, "jet", counted)
     monkeypatch.setattr(PointConfiguration, "min_centre_distance", forbidden)
     monkeypatch.setattr("ghconvex.surfaces.phi_jet_batch", forbidden)
-    cfg, sphere = _sphere50()
-    n = 40 * 40 + 3000
-    rep = convexity_scan(cfg, sphere, 2, ScanSampling(grid=(40, 40), random=3000))
+    cfg, sphere = _far_sphere()
+    # more shares than threads, at up to 4 threads
+    n, sampling = 150 * 150 + 12000, ScanSampling(grid=(150, 150), random=12000)
+    rep = convexity_scan(cfg, sphere, 2, sampling)
     assert rep.samples + rep.skipped == n
-    # pool threads may record their calls out of chunk order; the order the
+    shares = [P.shape[0] for P in convexity_module._scan_params(sphere, sampling)]
+    assert len(shares) == _share_count(n) > convexity_module.SCAN_THREADS
+    assert sum(shares) == n and max(shares) - min(shares) <= 1
+    assert max(shares) <= convexity_module.SCAN_ROWS
+    # pool threads may record their calls out of share order; the order the
     # results are combined in is test_scan_repeats_byte_identical's subject
-    assert sorted(calls) == sorted((min(CHUNK, n - lo), 1) for lo in range(0, n, CHUNK))
-    assert len(calls) == math.ceil(n / CHUNK)
+    assert sorted(calls) == sorted((rows, 1) for rows in shares)
 
 
 def test_scan_repeats_byte_identical(monkeypatch):
     cfg, foci, sampling, _ = _scan_cases()[2]
     monkeypatch.setattr(convexity_module, "SCAN_THREADS", 1)
     first = convexity_scan(cfg, foci, 2, sampling, keep_samples=True)
-    assert first.samples_table.shape[0] > 2 * CHUNK
-    # more threads than cores, switching as often as the interpreter allows
+    # eight shares against one, on more threads than cores, switching as
+    # often as the interpreter allows
     monkeypatch.setattr(convexity_module, "SCAN_THREADS", 8)
+    assert len(list(convexity_module._scan_params(foci, sampling))) == 8
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -343,7 +375,7 @@ def test_scan_repeats_byte_identical(monkeypatch):
 
 
 def _chunk_index(surface, sampling):
-    """Map each chunk's first chart sample to the chunk's position."""
+    """Map each share's first chart sample to the share's position."""
     starts = convexity_module._scan_params(surface, sampling)
     return {tuple(P[0]): i for i, P in enumerate(starts)}
 
@@ -351,6 +383,7 @@ def _chunk_index(surface, sampling):
 def test_scan_raises_the_earliest_failing_chunk(monkeypatch):
     cfg = make_config(0.0, [((0.0, 0.0, 0.5), 1), ((0.3, 0.0, -0.4), 1)])
     sphere, sampling = Sphere(3.0), ScanSampling(grid=(100, 100), random=0)
+    monkeypatch.setattr(convexity_module, "SCAN_THREADS", 4)
     index = _chunk_index(sphere, sampling)
     assert len(index) >= 4
     original = convexity_module.surface_data_batch
@@ -379,7 +412,7 @@ def test_scan_chunks_run_in_the_callers_context(monkeypatch):
         return original(surface, P)
 
     monkeypatch.setattr(convexity_module, "surface_data_batch", recording)
-    cfg, sphere = _sphere50()
+    cfg, sphere = _far_sphere()
     sampling = ScanSampling(grid=(40, 40), random=3000)
     token = var.set("caller")
     try:
@@ -388,7 +421,7 @@ def test_scan_chunks_run_in_the_callers_context(monkeypatch):
     finally:
         var.reset(token)
     assert rep.samples + rep.skipped == 40 * 40 + 3000
-    assert seen == [("caller", "warn")] * math.ceil((40 * 40 + 3000) / CHUNK)
+    assert seen == [("caller", "warn")] * _share_count(40 * 40 + 3000)
 
 
 def test_scan_propagates_solver_failure_from_a_worker(monkeypatch):

@@ -93,6 +93,13 @@ def test_in_convex_hull():
     assert not in_convex_hull(tri, (-1e-4, 0.0, 0.0), 1e-8)
 
 
+@pytest.mark.parametrize("z, inside", [(5e-9, True), (2e-8, False), (1e-7, False)])
+def test_in_convex_hull_honours_tolerances_below_the_solvers(z, inside):
+    # HiGHS accepts 1e-7 constraint violations, so its optimum reads 0 here
+    tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert in_convex_hull(tri, (0.2, 0.2, z), 1e-8) is inside
+
+
 def test_invariant_surface_area():
     cfg = make_config(
         1.0, [((0, 0, 2.0), 1), ((0, 0, -1.0), 1), ((3.0, 0, 0), 1)]

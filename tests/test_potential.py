@@ -21,7 +21,7 @@ from ghconvex import (
     phi_jet_batch,
 )
 from ghconvex import potential
-from ghconvex.potential import CHUNK, EXCLUSION_SCALE
+from ghconvex.potential import EXCLUSION_SCALE, block_rows
 
 from conftest import points_away, random_config, reference_jet
 
@@ -134,10 +134,8 @@ def test_batch_matches_scalar():
         np.testing.assert_array_equal(hesss[i], jet.hessian)
 
 
-@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
-def test_kernel_matches_reference_jet(n):
-    rng = np.random.default_rng(n)
-    cfg = random_config(rng, k=7, mass=1.0, max_mult=3)
+def _check_kernel_against_reference(rng, k, n):
+    cfg = random_config(rng, k=k, mass=1.0, max_mult=3)
     xs = points_away(rng, cfg, n, min_dist=0.05)
     args = (cfg.mass, cfg.points, cfg.multiplicities, xs)
     dmin, scale, vals, grads, hesss = potential.jet(*args, order=2)
@@ -166,15 +164,30 @@ def test_kernel_matches_reference_jet(n):
     np.testing.assert_array_equal(gradient_scale(cfg, xs), scale)
 
 
+@pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 6149])
+def test_kernel_matches_reference_jet(n):
+    # seven centres make 4681-row blocks: 6149 rows end in a partial one
+    _check_kernel_against_reference(np.random.default_rng(n), 7, n)
+
+
+@pytest.mark.parametrize("k", [1, 6, 50, 200])
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_kernel_matches_reference_jet_at_block_edges(k, edge):
+    # one row past a block is the padded case
+    n = block_rows(k) + edge
+    _check_kernel_against_reference(np.random.default_rng([k, n]), k, n)
+
+
 @pytest.mark.parametrize("k", [9, 50])
 def test_single_rows_match_batch_with_many_centres(k):
     # numpy sums a one-column block pairwise from 8 terms on, so the kernel
     # must keep single rows on the batch's summation order
     rng = np.random.default_rng(k)
     cfg = random_config(rng, k=k)
-    xs = points_away(rng, cfg, 2 * CHUNK + 1, min_dist=0.05)
+    n = 2 * block_rows(k) + 1
+    xs = points_away(rng, cfg, n, min_dist=0.05)
     vals, grads, hesss = phi_jet_batch(cfg, xs)
-    for i in (0, 17, 2 * CHUNK):
+    for i in (0, 17, n - 1):
         jet = phi_jet(cfg, xs[i])
         assert vals[i] == jet.value
         np.testing.assert_array_equal(grads[i], jet.gradient)
@@ -222,7 +235,7 @@ def test_jet_rigid_motion_invariance(seed, quaternion, shift):
 def test_singular_row_in_last_chunk():
     rng = np.random.default_rng(3)
     cfg = random_config(rng, k=3)
-    xs = points_away(rng, cfg, 3 * CHUNK + 5)
+    xs = points_away(rng, cfg, 3 * block_rows(cfg.k) + 5)
     xs[-1] = cfg.points[1] + 0.5 * cfg.exclusion_radius
     with pytest.raises(SingularPoint):
         phi_jet_batch(cfg, xs)
