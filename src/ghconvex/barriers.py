@@ -199,9 +199,9 @@ def ellipsoid_inequalities(
 def constant_C() -> float:
     """Unique real root of -x^3 + 4x^2 + 5x + 2 (~= 5.07): spheres of radius
     beyond C max|p_i| lift to fully convex hypersurfaces."""
-    f = lambda x: -x ** 3 + 4.0 * x ** 2 + 5.0 * x + 2.0
-    df = lambda x: -3.0 * x ** 2 + 8.0 * x + 5.0
-    return bisect_newton(f, df, 5.0, 6.0)
+    p = np.poly1d([-1.0, 4.0, 5.0, 2.0])
+    dp = p.deriv()
+    return float(bisect_newton(lambda x, rows: (p(x), dp(x)), 5.0, 6.0)[0])
 
 
 def constant_Rk(k: int) -> float:
@@ -209,10 +209,9 @@ def constant_Rk(k: int) -> float:
     distance ratio entering the strong-stability sufficient condition."""
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 2:
         raise InvalidK(f"k must be an integer >= 2, got {k!r}")
-    c0 = float(k - 2)
-    f = lambda x: -4.0 * x ** 3 + 16.0 * x ** 2 + 2.0 * x + c0
-    df = lambda x: -12.0 * x ** 2 + 32.0 * x + 2.0
-    return bisect_newton(f, df, 4.0, 4.0 + float(k))
+    p = np.poly1d([-4.0, 16.0, 2.0, float(k - 2)])
+    dp = p.deriv()
+    return float(bisect_newton(lambda x, rows: (p(x), dp(x)), 4.0, 4.0 + float(k))[0])
 
 
 def sphere_threshold(config: PointConfiguration) -> float:

@@ -109,6 +109,8 @@ def _surface_from_args(args) -> dict:
 
 
 def _cmd_constants(args) -> _Result:
+    if args.kmax < 2:
+        raise InvalidParams(f"--kmax must be >= 2, got {args.kmax}")
     C = barriers.constant_C()
     rk = {k: barriers.constant_Rk(k) for k in range(2, args.kmax + 1)}
     return _Result(
@@ -139,6 +141,8 @@ def _cmd_scan(args) -> _Result:
 
 
 def _cmd_margins(args) -> _Result:
+    if args.direction is not None and args.family != "plane":
+        raise InvalidParams(f"--direction applies only to --family plane, not {args.family}")
     config = load_config(args.config)
     params = np.linspace(args.pmin, args.pmax, args.steps)
     if args.family == "codim2":

@@ -252,11 +252,13 @@ def _scan_params(surface: BarrierSurface, sampling: ScanSampling) -> Iterator[np
     g0, g1 = sampling.grid
     if g0 < 1 or g1 < 1:
         raise InvalidParams("grid dims must be >= 1")
+    if sampling.random < 0:
+        raise InvalidParams(f"random sample count must be >= 0, got {sampling.random}")
     # cell midpoints: stays strictly inside open chart boxes
     p0 = lo0 + (hi0 - lo0) * (np.arange(g0) + 0.5) / g0
     p1 = lo1 + (hi1 - lo1) * (np.arange(g1) + 0.5) / g1
     n_grid = g0 * g1
-    n = n_grid + max(sampling.random, 0)
+    n = n_grid + sampling.random
     rng = np.random.default_rng(sampling.seed)
     # keep polar angles off the chart poles
     eps1 = 1e-9 * (hi1 - lo1)

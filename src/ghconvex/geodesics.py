@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .convexity import eigvals3_batch
-from .errors import InvalidIndex
+from .errors import InvalidIndex, InvalidParams
 from .potential import PointConfiguration, jet
 
 __all__ = [
@@ -197,6 +197,8 @@ def find_critical_points(
     silently; reported points satisfy |grad phi| <= 1e-10 * scale.  Output
     is sorted lexicographically by coordinates for determinism.
     """
+    if seeds.random < 0:
+        raise InvalidParams(f"random seed count must be >= 0, got {seeds.random}")
     k = config.k
     if k <= 1:
         return []

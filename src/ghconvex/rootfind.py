@@ -1,65 +1,50 @@
-"""Bracketed scalar root finding: bisection followed by Newton polish."""
+"""One root finder for arrays of independent rows: the array form of rtsafe
+(Press et al., Numerical Recipes, section 9.4), Newton steps that bisect
+whenever a step would leave the row's shrinking bracket."""
 
 from __future__ import annotations
 
-from typing import Callable
+import numpy as np
 
 from .errors import InvalidParams, NoConvergence
 
-__all__ = ["bisect", "bisect_newton"]
+__all__ = ["bisect_newton"]
+
+# a row stops once its move is <= XTOL * max(1, |x|); rows still moving
+# after MAX_STEPS steps raise NoConvergence
+XTOL = 1e-14
+MAX_STEPS = 100
 
 
-def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-8) -> float:
-    """Plain bisection on a sign-changing bracket [lo, hi].
+def bisect_newton(fdf, lo, hi) -> np.ndarray:
+    """Roots of independent rows, each in its bracket [lo, hi].
 
-    Returns the midpoint of the final bracket once its width is below tol.
+    ``fdf(x, rows)`` returns (f, f') at x for the row indices ``rows``.
+    Each row starts at its bracket end with the larger f.  A bracket
+    without a sign change raises InvalidParams.
     """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise InvalidParams(f"no sign change on [{lo}, {hi}]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or hi - lo < tol:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def bisect_newton(
-    f: Callable[[float], float],
-    df: Callable[[float], float],
-    lo: float,
-    hi: float,
-    bisect_tol: float = 1e-8,
-    tol: float = 1e-12,
-    max_newton: int = 60,
-) -> float:
-    """Bisect a sign-changing bracket down to bisect_tol, then polish the
-    midpoint with Newton steps (clamped to the bracket) until the update
-    falls below tol (relative to the root's magnitude).
-    """
-    x = bisect(f, lo, hi, bisect_tol)
-    scale = max(1.0, abs(x))
-    for _ in range(max_newton):
-        fx = f(x)
-        dfx = df(x)
-        if dfx == 0.0:
-            break
-        step = fx / dfx
-        x_new = x - step
-        if x_new < lo or x_new > hi:
-            x_new = min(max(x_new, lo), hi)
-        if abs(x_new - x) <= tol * scale:
-            return x_new
-        x = x_new
-    if abs(f(x)) > tol * max(1.0, abs(f(lo)), abs(f(hi))):
-        raise NoConvergence("Newton polish did not converge")
-    return x
+    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)), np.asarray(hi, dtype=float))
+    rows = np.arange(lo.size)
+    flo, dlo = fdf(lo, rows)
+    fhi, dhi = fdf(hi, rows)
+    bad = ~(np.sign(flo) * np.sign(fhi) <= 0.0)
+    if np.any(bad):
+        raise InvalidParams(f"no sign change on {np.count_nonzero(bad)} of {lo.size} brackets")
+    up = fhi >= flo
+    x, f, df = np.where(up, hi, lo), np.where(up, fhi, flo), np.where(up, dhi, dlo)
+    pos, neg = x.copy(), np.where(up, lo, hi)
+    root = np.empty_like(x)
+    for _ in range(MAX_STEPS):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = x - f / df
+        pa, na = pos[rows], neg[rows]
+        new = np.where((new - pa) * (new - na) <= 0.0, new, 0.5 * (pa + na))
+        done = np.abs(new - x) <= XTOL * np.maximum(1.0, np.abs(new))
+        root[rows] = new
+        rows, x = rows[~done], new[~done]
+        if rows.size == 0:
+            return root
+        f, df = fdf(x, rows)
+        pos[rows] = np.where(f > 0.0, x, pos[rows])
+        neg[rows] = np.where(f < 0.0, x, neg[rows])
+    raise NoConvergence(f"no convergence in {MAX_STEPS} steps on {rows.size} of {root.size} rows")

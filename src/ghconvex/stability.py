@@ -33,6 +33,7 @@ import numpy as np
 from .barriers import constant_Rk
 from .errors import InvalidIndex, InvalidParams, SingularPoint
 from .potential import PointConfiguration, jet, make_config
+from .surfaces import _orthobasis
 
 __all__ = [
     "SegmentSurface",
@@ -50,27 +51,6 @@ __all__ = [
 # endpoint exclusion: curvature is evaluated for |t| < a - DELTA_SCALE * a,
 # and satellites closer than DELTA_SCALE * a to the segment are rejected
 DELTA_SCALE = 1e-6
-
-
-def _rotation_to_e3(d: np.ndarray) -> np.ndarray:
-    """Rotation matrix R with R d = e3 for a unit vector d (Rodrigues)."""
-    e3 = np.array([0.0, 0.0, 1.0])
-    c = float(d @ e3)
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        return np.diag([1.0, -1.0, -1.0])
-    axis = np.cross(d, e3)
-    s = np.linalg.norm(axis)
-    axis = axis / s
-    K = np.array(
-        [
-            [0.0, -axis[2], axis[1]],
-            [axis[2], 0.0, -axis[0]],
-            [-axis[1], axis[0], 0.0],
-        ]
-    )
-    return np.eye(3) + s * K + (1.0 - c) * (K @ K)
 
 
 @dataclass(frozen=True)
@@ -100,7 +80,9 @@ class SegmentSurface:
         pj = self.config.points[self.j]
         mid = 0.5 * (pi + pj)
         a = 0.5 * float(np.linalg.norm(pi - pj))
-        R = _rotation_to_e3((pi - pj) / (2.0 * a))
+        # rows (t1, t2, d): det +1, and R d = e3
+        d = (pi - pj) / (2.0 * a)
+        R = np.array([*_orthobasis(d), d])
         others = [l for l in range(k) if l not in (self.i, self.j)]
         sat = (self.config.points[others] - mid) @ R.T
         sat_mult = mults[list(others)]

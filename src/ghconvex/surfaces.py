@@ -28,8 +28,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ChartDomainError, InvalidParams, SolverFailure
+from .errors import ChartDomainError, InvalidParams, NoConvergence, SolverFailure
 from .potential import PointConfiguration, _unit, _vec3, phi_jet_batch
+from .rootfind import bisect_newton
 
 __all__ = [
     "Sphere",
@@ -52,20 +53,20 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# Multi-foci shooting: bisection sweeps before the Newton polish, and the
-# residual |F - L| / L every solved row must meet
-MULTIFOCI_SWEEPS = 60
+# residual |F - L| / L every row solved by multi-foci shooting must meet
 MULTIFOCI_RTOL = 1e-12
 
 
 def _orthobasis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (t1, t2) with t1 x t2 = n for a unit vector n."""
-    h = np.zeros(3)
-    h[int(np.argmin(np.abs(n)))] = 1.0
+    """Orthonormal (t1, t2) with t1 x t2 = n for a unit vector n of shape
+    (3,) or (N, 3), one frame per row; t1 is normal to n and to the
+    coordinate axis least aligned with n."""
+    h = np.zeros_like(n)
+    np.put_along_axis(h, np.argmin(np.abs(n), axis=-1)[..., None], 1.0, axis=-1)
     t1 = np.cross(h, n)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(n, t1)
-    return t1, t2
+    # the matmul norm takes the dot product's bits, one row or many
+    t1 /= np.sqrt(t1[..., None, :] @ t1[..., :, None])[..., 0]
+    return t1, np.cross(n, t1)
 
 
 @dataclass(frozen=True)
@@ -154,8 +155,8 @@ class MultiFociEllipsoid:
     """Level set sum_i |x - p_i| = L around n >= 2 foci.
 
     No closed chart exists for >= 3 foci; points are found by shooting rays
-    from the foci centroid and solving F(centroid + t d) = L (bisection then
-    Newton); a row missing |F - L| <= MULTIFOCI_RTOL * L raises
+    from the foci centroid and solving F(centroid + t d) = L by bracketed
+    Newton; a row missing |F - L| <= MULTIFOCI_RTOL * L raises
     SolverFailure.  Chart params are the direction angles (azimuth in [0, 2pi],
     polar in (0, pi)).
     """
@@ -248,46 +249,34 @@ def _check_params(surface: BarrierSurface, P: np.ndarray) -> None:
 
 
 def _multifoci_solve(surface: MultiFociEllipsoid, D: np.ndarray) -> np.ndarray:
-    """Distances t with F(centroid + t * D_row) = level, one per direction row."""
+    """Distances t with F(centroid + t * D_row) = level, one per direction row.
+    F is convex along each ray, so Newton from the upper end of the bracket
+    falls monotonically to the one crossing."""
     base = surface.centroid
     pts = surface.foci
     L = surface.level
 
-    def F(ts: np.ndarray) -> np.ndarray:
-        X = base[None, :] + ts[:, None] * D
-        return np.linalg.norm(X[:, None, :] - pts[None, :, :], axis=2).sum(axis=1)
+    def fdf(ts: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d = D[rows]
+        diff = (base + ts[:, None] * d)[:, None, :] - pts[None, :, :]
+        dist = np.linalg.norm(diff, axis=2)
+        # dF/dt = <grad F, d>, grad F the sum of the unit vectors from the foci
+        return dist.sum(axis=1) - L, np.einsum("nkj,nj->n", diff / dist[:, :, None], d)
 
-    f0 = float(F(np.zeros(1))[0])
+    f0 = float(np.linalg.norm(base - pts, axis=1).sum())
     if f0 >= L:
         raise SolverFailure(
             f"F(centroid) = {f0:.6g} >= level {L:.6g}: centroid shooting cannot reach the level set"
         )
-    n = D.shape[0]
-    lo = np.zeros(n)
     # triangle inequality: F(base + t d) >= n_foci * t - F(base), so this
     # upper end is guaranteed to bracket
-    hi = np.full(n, (L + 2.0 * f0) / pts.shape[0] + 1.0)
-    for _ in range(MULTIFOCI_SWEEPS):
-        mid = 0.5 * (lo + hi)
-        high = F(mid) > L
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    t = 0.5 * (lo + hi)
-    # Newton polish: dF/dt = <grad F, d> > 0 away from the foci
-    for _ in range(4):
-        X = base[None, :] + t[:, None] * D
-        diff = X[:, None, :] - pts[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        grad = (diff / dist[:, :, None]).sum(axis=1)
-        deriv = np.einsum("nj,nj->n", grad, D)
-        t = t - (dist.sum(axis=1) - L) / deriv
+    hi = (L + 2.0 * f0) / pts.shape[0] + 1.0
+    try:
+        t = bisect_newton(fdf, np.zeros(D.shape[0]), hi)
+    except NoConvergence as exc:
+        raise SolverFailure(f"multi-foci shooting: {exc}") from exc
     if not np.all(np.isfinite(t)):
         raise SolverFailure("multi-foci shooting produced non-finite distances")
-    failing = int(np.count_nonzero(np.abs(F(t) - L) > MULTIFOCI_RTOL * L))
-    if failing:
-        raise SolverFailure(
-            f"multi-foci shooting missed |F - L| <= {MULTIFOCI_RTOL:g} L on {failing} of {n} rows"
-        )
     return t
 
 
@@ -300,6 +289,12 @@ def _multifoci_data(surface: MultiFociEllipsoid, P: np.ndarray):
     pts = surface.foci
     diff = X[:, None, :] - pts[None, :, :]
     dist = np.linalg.norm(diff, axis=2)
+    L = surface.level
+    failing = int(np.count_nonzero(np.abs(dist.sum(axis=1) - L) > MULTIFOCI_RTOL * L))
+    if failing:
+        raise SolverFailure(
+            f"multi-foci shooting missed |F - L| <= {MULTIFOCI_RTOL:g} L on {failing} of {P.shape[0]} rows"
+        )
     unit = diff / dist[:, :, None]
     gradF = unit.sum(axis=1)
     gn = np.linalg.norm(gradF, axis=1)
@@ -309,22 +304,11 @@ def _multifoci_data(surface: MultiFociEllipsoid, P: np.ndarray):
     # Hess F = sum_i (I - d_i d_i^T)/|x - p_i|
     eye = np.eye(3)[None, :, :]
     hess = ((eye - np.einsum("nki,nkj->nkij", unit, unit)) / dist[:, :, None, None]).sum(axis=1)
-    # tangent frame: u from the coordinate axis least aligned with nu, v = nu x u
-    h = np.zeros_like(nu)
-    h[np.arange(nu.shape[0]), np.argmin(np.abs(nu), axis=1)] = 1.0
-    u = h - np.einsum("nj,nj->n", h, nu)[:, None] * nu
-    u /= np.linalg.norm(u, axis=1)[:, None]
-    v = np.cross(nu, u)                    # then u x v = nu
+    T = np.stack(_orthobasis(nu), axis=1)  # rows u, v
     # shape operator w.r.t. inward nu: Hess F / |grad F| on the tangent plane
-    B = hess / gn[:, None, None]
-    suu = np.einsum("ni,nij,nj->n", u, B, u)
-    suv = np.einsum("ni,nij,nj->n", u, B, v)
-    svv = np.einsum("ni,nij,nj->n", v, B, v)
-    sff = np.empty((P.shape[0], 2, 2))
-    sff[:, 0, 0] = suu
-    sff[:, 0, 1] = sff[:, 1, 0] = suv
-    sff[:, 1, 1] = svv
-    return X, u, v, nu, sff, suu + svv
+    sff = T @ (hess / gn[:, None, None]) @ T.transpose(0, 2, 1)
+    sff[:, 1, 0] = sff[:, 0, 1]  # exactly symmetric, as the closed-form families
+    return X, T[:, 0], T[:, 1], nu, sff, sff[:, 0, 0] + sff[:, 1, 1]
 
 
 def surface_data_batch(surface: BarrierSurface, params: np.ndarray):

@@ -35,6 +35,16 @@ def random_config(rng, k=None, mass=None, box=3.0, min_sep=0.5, max_mult=2):
     return make_config(mass, [(p, int(c)) for p, c in zip(pts, mults)])
 
 
+def rotation(q):
+    """Rotation matrix of the (not necessarily unit) quaternion q = (a, b, c, d)."""
+    a, b, c, d = np.asarray(q) / np.linalg.norm(q)
+    return np.array([
+        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+        [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
+        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
+    ])
+
+
 def points_away(rng, config, n, min_dist=0.2, box=None):
     """n sample points keeping at least min_dist from every centre."""
     if box is None:

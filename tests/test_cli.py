@@ -233,6 +233,25 @@ def test_non_positive_counts_are_usage_errors(cfg_file, argv, capsys):
     assert "expected a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scan", "--config", "CFG", "--surface", "sphere", "--r", "3", "--grid", "4", "--random", "-5"],
+         "random sample count must be >= 0, got -5"),
+        (["geodesics", "--config", "CFG", "--random", "-3"], "random seed count must be >= 0, got -3"),
+        (["constants", "--kmax", "1"], "--kmax must be >= 2, got 1"),
+        (["margins", "--config", "CFG", "--family", "cylinder", "--direction", "1,0,0",
+          "--pmin", "2", "--pmax", "3"], "--direction applies only to --family plane, not cylinder"),
+    ],
+)
+def test_counts_and_flags_the_cli_cannot_honour(cfg_file, argv, message, capsys):
+    rc = run([cfg_file if a == "CFG" else a for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
 def test_zero_plane_direction_is_named(cfg_file, capsys):
     rc = run(["margins", "--config", cfg_file, "--family", "plane", "--direction", "0,0,0",
               "--pmin", "2", "--pmax", "3", "--steps", "2", "--dirs", "8"])

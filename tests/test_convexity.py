@@ -12,7 +12,7 @@ import pytest
 
 import ghconvex.convexity as convexity_module
 import ghconvex.potential as potential_module
-import ghconvex.surfaces as surfaces_module
+import ghconvex.rootfind as rootfind_module
 
 from ghconvex import (
     InvalidK,
@@ -216,6 +216,8 @@ def test_scan_rejects_bad_inputs():
     tiny = 0.1 * cfg.exclusion_radius
     with pytest.raises(TooFewSamples):
         convexity_scan(cfg, Sphere(tiny), 1, ScanSampling(grid=(8, 8), random=50))
+    with pytest.raises(InvalidParams, match="random sample count must be >= 0, got -5"):
+        convexity_scan(cfg, Sphere(2.0), 1, ScanSampling(grid=(8, 8), random=-5))
 
 
 def _reference_scan(config, surface, k, sampling):
@@ -425,7 +427,7 @@ def test_scan_chunks_run_in_the_callers_context(monkeypatch):
 
 
 def test_scan_propagates_solver_failure_from_a_worker(monkeypatch):
-    monkeypatch.setattr(surfaces_module, "MULTIFOCI_SWEEPS", 2)
+    monkeypatch.setattr(rootfind_module, "MAX_STEPS", 2)
     cfg = make_config(0.0, [((0.0, 0.0, 0.0), 1)])
     foci = MultiFociEllipsoid([[1.0, 0.0, 0.0], [-0.5, 0.8, 0.0], [-0.5, -0.8, 0.0]], 4.0)
     with pytest.raises(SolverFailure, match=r"on \d+ of \d+ rows"):

@@ -6,6 +6,7 @@ import pytest
 
 from ghconvex import (
     InvalidIndex,
+    InvalidParams,
     SeedStrategy,
     find_critical_points,
     gradient_scale,
@@ -74,6 +75,12 @@ def test_midpoint_seeds_suffice_for_two_centres():
     cfg = make_config(0.0, [((0, 0, 1.0), 1), ((0, 0, -1.0), 1)])
     pts = find_critical_points(cfg, SeedStrategy(midpoints=True, centroids=False, random=0))
     assert len(pts) == 1
+
+
+def test_negative_random_seed_count_is_invalid():
+    cfg = make_config(0.0, [((0, 0, 1.0), 1), ((0, 0, -1.0), 1)])
+    with pytest.raises(InvalidParams, match="random seed count must be >= 0, got -3"):
+        find_critical_points(cfg, SeedStrategy(random=-3))
 
 
 def test_critical_point_serialization():

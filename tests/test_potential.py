@@ -23,7 +23,7 @@ from ghconvex import (
 from ghconvex import potential
 from ghconvex.potential import EXCLUSION_SCALE, block_rows
 
-from conftest import points_away, random_config, reference_jet
+from conftest import points_away, random_config, reference_jet, rotation
 
 
 def fd_steps(config, x):
@@ -194,15 +194,6 @@ def test_single_rows_match_batch_with_many_centres(k):
         np.testing.assert_array_equal(hesss[i], jet.hessian)
 
 
-def _rotation(q):
-    a, b, c, d = np.asarray(q) / np.linalg.norm(q)
-    return np.array([
-        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
-        [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
-        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
-    ])
-
-
 _unit_interval = st.floats(-1.0, 1.0)
 
 
@@ -218,7 +209,7 @@ def test_jet_rigid_motion_invariance(seed, quaternion, shift):
     rng = np.random.default_rng(seed)
     cfg = random_config(rng, k=int(rng.integers(1, 10)), max_mult=3)
     xs = points_away(rng, cfg, 40)
-    Q, b = _rotation(quaternion), np.asarray(shift)
+    Q, b = rotation(quaternion), np.asarray(shift)
     moved = make_config(
         cfg.mass, [(Q @ p + b, int(c)) for p, c in zip(cfg.points, cfg.multiplicities)]
     )
