@@ -67,6 +67,7 @@ from .barriers import (
     codim2_threshold,
     constant_C,
     constant_Rk,
+    constants_Rk,
     cylinder_hyp_margin,
     cylinder_hyp_margin_batch,
     cylinder_margin_curve,

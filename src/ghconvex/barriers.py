@@ -41,6 +41,7 @@ __all__ = [
     "ellipsoid_inequalities",
     "constant_C",
     "constant_Rk",
+    "constants_Rk",
     "sphere_threshold",
     "cylinder_threshold",
     "codim2_threshold",
@@ -207,11 +208,24 @@ def constant_C() -> float:
 def constant_Rk(k: int) -> float:
     """Root of -4x^3 + 16x^2 + 2x + (k - 2) in [4, 4 + k]: the satellite
     distance ratio entering the strong-stability sufficient condition."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 2:
-        raise InvalidK(f"k must be an integer >= 2, got {k!r}")
-    p = np.poly1d([-4.0, 16.0, 2.0, float(k - 2)])
-    dp = p.deriv()
-    return float(bisect_newton(lambda x, rows: (p(x), dp(x)), 4.0, 4.0 + float(k))[0])
+    return constants_Rk([k])[0]
+
+
+def constants_Rk(ks) -> list[float]:
+    """constant_Rk(k) for each k of ks, in one bisect_newton call: the cubics
+    differ only in their constant term."""
+    ks = list(ks)
+    for k in ks:
+        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 2:
+            raise InvalidK(f"k must be an integer >= 2, got {k!r}")
+    kf = np.array(ks, dtype=float)
+    tail = kf - 2.0
+
+    def fdf(x, rows):
+        # Horner in np.poly1d's order, so each row has the bits of its own call
+        return ((-4.0 * x + 16.0) * x + 2.0) * x + tail[rows], (-12.0 * x + 32.0) * x + 2.0
+
+    return bisect_newton(fdf, 4.0, 4.0 + kf).tolist()
 
 
 def sphere_threshold(config: PointConfiguration) -> float:

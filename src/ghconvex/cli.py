@@ -112,7 +112,8 @@ def _cmd_constants(args) -> _Result:
     if args.kmax < 2:
         raise InvalidParams(f"--kmax must be >= 2, got {args.kmax}")
     C = barriers.constant_C()
-    rk = {k: barriers.constant_Rk(k) for k in range(2, args.kmax + 1)}
+    ks = range(2, args.kmax + 1)
+    rk = dict(zip(ks, barriers.constants_Rk(ks)))
     return _Result(
         {"C": C, "R_k": {str(k): v for k, v in rk.items()}},
         ["constant", "k", "value"],

@@ -85,13 +85,18 @@ def _eigvals3_parts(S: np.ndarray) -> tuple:
     a00, a11, a22 = S[:, 0, 0], S[:, 1, 1], S[:, 2, 2]
     a01, a02, a12 = S[:, 0, 1], S[:, 0, 2], S[:, 1, 2]
     q = (a00 + a11 + a22) / 3.0
+    e00, e11, e22 = a00 - q, a11 - q, a22 - q
     p1 = a01 ** 2 + a02 ** 2 + a12 ** 2
-    p2 = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * p1
+    p2 = e00 ** 2 + e11 ** 2 + e22 ** 2 + 2.0 * p1
     p = np.sqrt(p2 / 6.0)
-    scale = np.abs(S).max(axis=(1, 2))
+    # max |S_ij| as a running elementwise maximum: the same bits as numpy's
+    # reduction over the two tiny axes, at a fifth of its time
+    scale = np.abs(a00)
+    for e in (a01, a02, S[:, 1, 0], a11, a12, S[:, 2, 0], S[:, 2, 1], a22):
+        np.maximum(scale, np.abs(e), out=scale)
     diag_like = p <= 1e-14 * np.maximum(1e-300, scale)
     safe_p = np.where(p > 0.0, p, 1.0)
-    b00, b11, b22 = (a00 - q) / safe_p, (a11 - q) / safe_p, (a22 - q) / safe_p
+    b00, b11, b22 = e00 / safe_p, e11 / safe_p, e22 / safe_p
     b01, b02, b12 = a01 / safe_p, a02 / safe_p, a12 / safe_p
     detb = (
         b00 * (b11 * b22 - b12 ** 2)

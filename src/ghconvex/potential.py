@@ -200,46 +200,65 @@ def jet(
     hesss = np.empty((rows, 3, 3)) if order >= 2 else None
     c = np.asarray(multiplicities, dtype=float)[:, None]
     pc = np.asarray(points, dtype=float).T[:, :, None]     # (3, k, 1)
+    k = c.shape[0]
+    # the workspace, allocated once per call at the first block's width: the
+    # differences x - p_i as one (3, k, width) array, and the 1/r and weight
+    # blocks, with a product block only at order 2.  Two allocations, not
+    # one: glibc's malloc raises its mmap threshold to the largest block it
+    # has unmapped and then keeps up to twice that resident in every thread's
+    # arena, which a single 1.5 MiB workspace turns into ~3 MiB per arena
+    nb = 3 if order >= 2 else 2
+    size = k * min(block, rows)
+    diffs = np.empty(3 * size)
+    blocks = np.empty(nb * size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lo in range(0, rows, block):
             s = slice(lo, lo + block)
-            # centre-major (k, rows) blocks reduced over axis 0, so numpy's
-            # inner loops run over the rows; one difference component is
-            # held at a time and recomputed where needed
+            # centre-major (k, width) blocks reduced over the centre axis, so
+            # numpy's inner loops run over the rows
             xt = np.ascontiguousarray(xs[s].T)
-            r2 = xt[0] - pc[0]
-            r2 *= r2
-            d = xt[1] - pc[1]
-            d *= d
-            r2 += d
-            np.subtract(xt[2], pc[2], out=d)
-            d *= d
-            r2 += d
-            dmin[s] = np.sqrt(r2.min(axis=0, initial=np.inf))
-            inv_r = r2                                      # in place: 1/r, then 1/r^2
-            np.sqrt(r2, out=inv_r)
+            width = xt.shape[1]
+            m = k * width
+            d = diffs[:3 * m].reshape(3, k, width)
+            b = blocks[:nb * m].reshape(nb, k, width)
+            inv_r, w = b[0], b[1]
+            np.subtract(xt[:, None, :], pc, out=d)         # x - p_i, once per block
+            np.multiply(d[0], d[0], out=inv_r)             # r^2, then 1/r, then 1/r^2
+            np.multiply(d[1], d[1], out=w)
+            inv_r += w
+            np.multiply(d[2], d[2], out=w)
+            inv_r += w
+            dmin[s] = np.sqrt(inv_r.min(axis=0, initial=np.inf))
+            np.sqrt(inv_r, out=inv_r)
             np.divide(1.0, inv_r, out=inv_r)
-            w = c * inv_r                                   # c / r
+            np.multiply(c, inv_r, out=w)                   # c / r
             vals[s] += 0.5 * w.sum(axis=0)
-            np.multiply(w, inv_r, out=d)
-            scale[s] = 0.5 * d.sum(axis=0)
+            w *= inv_r                                      # c / r^2
+            scale[s] = 0.5 * w.sum(axis=0)
             if order >= 1:
+                # the scale's product took w in place: form c / r again, so
+                # that c / r^3 = (c / r) (1/r)^2 keeps its rounding without a
+                # third block
+                np.multiply(c, inv_r, out=w)
                 inv_r *= inv_r
                 w *= inv_r                                  # c / r^3
+            if order == 1:
+                # the differences are not needed again: weight them in place
+                # and sum all three over the centres, into the gradient rows
+                d *= w
+                grads[s] = (-0.5 * d.sum(axis=1)).T
+            elif order >= 2:
+                t = b[2]
                 for i in range(3):
-                    np.subtract(xt[i], pc[i], out=d)
-                    d *= w
-                    grads[s, i] = -0.5 * d.sum(axis=0)
-            if order >= 2:
+                    np.multiply(d[i], w, out=t)
+                    grads[s, i] = -0.5 * t.sum(axis=0)
                 # Hessian of c/(2r): (c/2) (3 d d^T / r^5 - I / r^3), entry by entry
                 trace_part = 0.5 * w.sum(axis=0)
                 w *= inv_r                                  # c / r^5
                 for i in range(3):
-                    np.subtract(xt[i], pc[i], out=d)
-                    d *= w
+                    np.multiply(d[i], w, out=t)
                     for j in range(i, 3):
-                        np.subtract(xt[j], pc[j], out=inv_r)
-                        inv_r *= d
+                        np.multiply(d[j], t, out=inv_r)
                         hesss[s, i, j] = hesss[s, j, i] = 1.5 * inv_r.sum(axis=0)
                     hesss[s, i, i] -= trace_part
     return tuple(a if a is None else a[:n] for a in (dmin, scale, vals, grads, hesss))

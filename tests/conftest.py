@@ -6,6 +6,7 @@ import itertools
 import sys
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ghconvex import make_config, phi_jet
 
@@ -33,6 +34,10 @@ def random_config(rng, k=None, mass=None, box=3.0, min_sep=0.5, max_mult=2):
             pts.append(cand)
     mults = rng.integers(1, max_mult + 1, k)
     return make_config(mass, [(p, int(c)) for p, c in zip(pts, mults)])
+
+
+# quaternions for rotation(), kept away from zero
+quaternions = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: sum(v * v for v in q) > 0.01)
 
 
 def rotation(q):

@@ -13,6 +13,7 @@ from ghconvex import (
     codim2_threshold,
     constant_C,
     constant_Rk,
+    constants_Rk,
     cylinder_hyp_margin,
     cylinder_hyp_margin_batch,
     cylinder_margin_curve,
@@ -32,6 +33,7 @@ from ghconvex import (
     surface_point,
     sylvester_positive,
 )
+from ghconvex.rootfind import bisect_newton
 
 from conftest import random_config
 
@@ -58,6 +60,21 @@ def test_constant_Rk_values():
     for bad in (1, 0, 2.5, "3"):
         with pytest.raises(InvalidK):
             constant_Rk(bad)
+
+
+def test_constants_Rk_solves_each_cubic_as_its_own_call():
+    """One call over all k gives each R_k the bits of a one-row solve of the
+    np.poly1d cubic."""
+    ks = list(range(2, 41))
+    batched = constants_Rk(ks)
+    for k, R in zip(ks, batched):
+        p = np.poly1d([-4.0, 16.0, 2.0, float(k - 2)])
+        dp = p.deriv()
+        alone = float(bisect_newton(lambda x, rows: (p(x), dp(x)), 4.0, 4.0 + float(k))[0])
+        assert type(R) is float and R == alone == constant_Rk(k)
+    for bad in ([2, 1], [3, 2.5], [True]):
+        with pytest.raises(InvalidK):
+            constants_Rk(bad)
 
 
 # --- flat single-centre hand values ---------------------------------------

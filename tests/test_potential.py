@@ -1,7 +1,9 @@
 """Potential jets: hand values, finite differences, harmonicity, validation."""
 from __future__ import annotations
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +23,9 @@ from ghconvex import (
     phi_jet_batch,
 )
 from ghconvex import potential
-from ghconvex.potential import EXCLUSION_SCALE, block_rows
+from ghconvex.potential import EXCLUSION_SCALE, PointConfiguration, block_rows
 
-from conftest import points_away, random_config, reference_jet, rotation
+from conftest import points_away, quaternions, random_config, reference_jet, rotation
 
 
 def fd_steps(config, x):
@@ -194,13 +196,76 @@ def test_single_rows_match_batch_with_many_centres(k):
         np.testing.assert_array_equal(hesss[i], jet.hessian)
 
 
-_unit_interval = st.floats(-1.0, 1.0)
+# SHA-256 of jet's outputs at orders 0, 1 and 2, in that order, for each
+# (centres, rows) case of _digest_case.  Captured from the kernel that held
+# one difference component at a time; like the goldens in tests/golden,
+# they belong to numpy 2.4.6, whose reduction order they record.
+JET_DIGESTS = {
+    (1, 32767): "444be031d04b0fef67414dfc28f26db142f17c5bdcaf0a424e9c93f4cd876eea",
+    (1, 32768): "0debb75ce5017f831b42835f284d1e38795a904d2fb762a50e4c45087f3373fd",
+    (1, 32769): "d91e47a9ed7504f21b1a18a7c2cd3ed400ec5768633eba29ed6264e4feef2b91",
+    (1, 40000): "e9c098317c052948ec2387eb2e6b14cb76acf4e63b0821eff172893688300d4c",
+    (6, 5460): "da171718a7640d7c303d629cb29718fa2a0443073687121a647db178eec1b821",
+    (6, 5461): "2dfc51642d210961f72c85c6de2648e3e11fa39196021d7278bfa59ba3c06c7e",
+    (6, 5462): "f9721ca7690d013ab8fc2a8712f6e782b34cb5dde59511b8094496af2dd87bfc",
+    (6, 40000): "be7066e3ae0fc32ec7ac5ac19a1e5b40ad5f294cd549c6ba0618b0b736b6b570",
+    (50, 654): "c8552ed3b26b2b0b2253b1b06785b53b0bfe5b4afd0136b68d1b6af777ae6e9f",
+    (50, 655): "47a9a344ac060ce20e29afeb09dd7455dbe10907bacf1ba1aaef131c8776db95",
+    (50, 656): "d51fed96da802cc4677f0f9f1f9d5e2c9407cc71d76fa0f533f6c8cb7cb02e76",
+    (50, 40000): "53ff0d364e331d59380ce1fa0366a6d592ec8f1abbdab30e5aefcb0087d807b0",
+    (200, 162): "b1643af5e1c1a0d710a1fc802f6260411a2b4dcbdce16130d193b591caef6103",
+    (200, 163): "7d511d8646336f70c9cb98e5a8d61e149bef2a2d270018266dcb61f2329a1a4a",
+    (200, 164): "47b2bf80f4ddcc6358d01b60abc1be5ddbc491f304d763ea177ac437f98beb01",
+    (200, 40000): "f8c7b5564d4d9c1f3ef0a32912c83842327d1ac0e1301cedec85c1281b8a93f3",
+}
+
+
+def _digest_case(k, n):
+    """Centres with multiplicities 1-3 and n rows, the middle one inside the
+    exclusion radius of the last centre."""
+    rng = np.random.default_rng([k, n])
+    cfg = random_config(rng, k=k, mass=1.0, box=6.0, max_mult=3)
+    xs = rng.uniform(-7.0, 7.0, (n, 3))
+    xs[n // 2] = cfg.points[-1] + 0.25 * cfg.exclusion_radius
+    return cfg, xs
+
+
+@pytest.mark.parametrize("k, n", sorted(JET_DIGESTS))
+def test_jet_bits_are_pinned(k, n):
+    """The kernel's outputs are byte-identical to the digests: a rewrite of
+    its arithmetic may change speed and memory, not bits."""
+    cfg, xs = _digest_case(k, n)
+    h = hashlib.sha256()
+    for order in (0, 1, 2):
+        out = potential.jet(cfg.mass, cfg.points, cfg.multiplicities, xs, order)
+        assert out[0][n // 2] <= cfg.exclusion_radius
+        for a in out:
+            h.update(b"-" if a is None else a.tobytes())
+    assert h.hexdigest() == JET_DIGESTS[k, n]
+
+
+@pytest.mark.parametrize("k", [6, 50, 200])
+@pytest.mark.parametrize("order", [1, 2])
+def test_jet_memory_is_bounded_by_block(k, order):
+    """Beyond its own outputs, one call on 40 000 rows holds at most 8 blocks
+    of BLOCK doubles at its peak, whatever the number of rows."""
+    cfg, xs = _digest_case(k, 40000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = potential.jet(cfg.mass, cfg.points, cfg.multiplicities, xs, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in out if a is not None)
+    assert peak - before - outputs <= 8 * potential.BLOCK * 8
+
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2 ** 32 - 1),
-    quaternion=st.tuples(*[_unit_interval] * 4).filter(lambda q: sum(v * v for v in q) > 0.01),
+    quaternion=quaternions,
     shift=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
 )
 def test_jet_rigid_motion_invariance(seed, quaternion, shift):
@@ -221,6 +286,27 @@ def test_jet_rigid_motion_invariance(seed, quaternion, shift):
     assert np.all(np.linalg.norm(g1 - grads @ Q.T, axis=1) <= 1e-12 * scale)
     conj = np.einsum("ij,njk,lk->nil", Q, hesss, Q)
     assert np.all(np.abs(h1 - conj).max(axis=(1, 2)) <= 1e-12 * hess_scale)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), lam=st.floats(0.05, 20.0))
+def test_jet_dilation_law(seed, lam):
+    """Centres lam p_i with mass m / lam give phi_lam(lam x) = phi(x) / lam:
+    grad phi scales by 1/lam^2 and Hess phi by 1/lam^3."""
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, k=int(rng.integers(1, 10)), max_mult=3)
+    xs = points_away(rng, cfg, 40)
+    dilated = PointConfiguration(cfg.mass / lam, lam * cfg.points, cfg.multiplicities)
+    _, scale, vals, grads, hesss = potential.jet(cfg.mass, cfg.points, cfg.multiplicities, xs)
+    _, s1, v1, g1, h1 = potential.jet(
+        dilated.mass, dilated.points, dilated.multiplicities, lam * xs
+    )
+    d = np.linalg.norm(xs[:, None, :] - cfg.points[None, :, :], axis=2)
+    hess_scale = (cfg.multiplicities / d ** 3).sum(axis=1)
+    assert np.all(np.abs(lam * v1 - vals) <= 1e-12 * vals)
+    assert np.all(np.abs(lam ** 2 * s1 - scale) <= 1e-12 * scale)
+    assert np.all(np.linalg.norm(lam ** 2 * g1 - grads, axis=1) <= 1e-12 * scale)
+    assert np.all(np.abs(lam ** 3 * h1 - hesss).max(axis=(1, 2)) <= 1e-12 * hess_scale)
 
 
 def test_singular_row_in_last_chunk():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghconvex import (
     InvalidIndex,
@@ -17,13 +19,15 @@ from ghconvex import (
     gaussian_curvature_direct_batch,
     make_config,
     mn_decomposition,
+    mn_decomposition_batch,
     phi_jet,
     strong_stability_scan,
     sufficient_condition,
 )
 from ghconvex.barriers import constant_Rk
+from ghconvex.potential import jet
 
-from conftest import random_config
+from conftest import quaternions, random_config, rotation
 
 
 def eh_config(a=1.0, m=0.0):
@@ -224,3 +228,34 @@ def test_tilted_segment_matches_axis_aligned():
         assert gaussian_curvature_direct(tilted, t) == pytest.approx(
             gaussian_curvature_direct(ref, t), rel=1e-10
         )
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    quaternion=quaternions,
+    shift=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+)
+def test_segment_curvature_rigid_motion_invariance(seed, quaternion, shift):
+    """Moving the configuration by x -> Qx + b leaves the segment's K(t)
+    fixed, by the direct route and by M + N."""
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, k=int(rng.integers(2, 7)))
+    mults = np.array(cfg.multiplicities)
+    mults[:2] = 1
+    cfg = make_config(cfg.mass, [(p, int(c)) for p, c in zip(cfg.points, mults)])
+    Q, b = rotation(quaternion), np.asarray(shift)
+    moved = make_config(cfg.mass, [(Q @ p + b, int(c)) for p, c in zip(cfg.points, mults)])
+    seg, seg1 = SegmentSurface(cfg, 0, 1), SegmentSurface(moved, 0, 1)
+    assert abs(seg1.a - seg.a) <= 1e-14 * seg.a
+    ts = chebyshev(30, 0.95 * seg.a)
+    K = gaussian_curvature_direct_batch(seg, ts)
+    # the size of K's two terms, which may cancel
+    axis = np.zeros((ts.size, 3))
+    axis[:, 2] = ts
+    _, _, vals, grads, hesss = jet(cfg.mass, seg.rotated_points, mults, axis)
+    size = np.abs(hesss[:, 2, 2]) / (2.0 * vals ** 2) + grads[:, 2] ** 2 / vals ** 3
+    assert np.all(np.abs(gaussian_curvature_direct_batch(seg1, ts) - K) <= 1e-10 * size)
+    K_mn = mn_decomposition_batch(seg, ts)[0]
+    K1_mn = mn_decomposition_batch(seg1, ts)[0]
+    assert np.all(np.abs(K1_mn - K_mn) <= 1e-10 * (np.abs(K_mn) + size))

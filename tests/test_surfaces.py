@@ -29,7 +29,7 @@ from ghconvex import (
     surface_point,
 )
 
-from conftest import random_config, reference_gamma, rotation
+from conftest import quaternions, random_config, reference_gamma, rotation
 
 FAMILIES = [
     Sphere(1.7, centre=(0.2, -0.3, 0.5)),
@@ -322,7 +322,7 @@ def _random_surface(rng, family):
 @given(
     seed=st.integers(0, 2 ** 32 - 1),
     family=st.sampled_from(["sphere", "plane", "multifoci"]),
-    quaternion=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: sum(v * v for v in q) > 0.01),
+    quaternion=quaternions,
     shift=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
     angle=st.floats(0.0, 2 * np.pi),
 )
