@@ -10,10 +10,12 @@ approximates by sampling.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import math
 import os
+import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -63,6 +65,62 @@ SCAN_THREADS = min(4, _usable_cpus())
 # one jet call: few tasks keep the GIL-held numpy call overhead low, and the
 # cap keeps the memory in flight independent of the sample count.
 SCAN_ROWS = 8192
+
+# glibc's mallopt parameters, and the mmap threshold the scan pool pins:
+# arrays below it come from the threads' heaps and stay mapped between
+# shares.  4 MiB covers the kernel's largest workspace, 6 * BLOCK doubles =
+# 1.5 MiB, and a share's largest array, SCAN_ROWS * 9 doubles = 576 KiB.  The
+# trim threshold is twice it, glibc's own ratio when it moves the threshold
+# itself.  Left dynamic, the threshold follows the largest block freed, each
+# share frees more than twice that, and glibc trims the heap that the next
+# share faults back in.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 4 << 20
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+
+_pool: Optional[tuple[int, ThreadPoolExecutor]] = None   # (threads, pool)
+_pool_lock = threading.Lock()
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds, unless the environment already
+    tunes malloc; a no-op on other C libraries."""
+    if any(name in os.environ for name in _MALLOC_ENV):
+        return
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version       # glibc only: the parameters are its own
+        mallopt = libc.mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
+def _scan_pool() -> ThreadPoolExecutor:
+    """The process's scan pool of SCAN_THREADS threads, started by the first
+    scan and kept, so its threads keep their heaps from one scan to the
+    next.  A pool of another size is replaced; its threads exit once no scan
+    holds it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != SCAN_THREADS:
+            _pin_malloc_thresholds()
+            _pool = (SCAN_THREADS, ThreadPoolExecutor(SCAN_THREADS, thread_name_prefix="ghconvex-scan"))
+        return _pool[1]
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool but none of its threads: work
+    # submitted to it would never run
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _check_symmetric(S: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -316,12 +374,15 @@ def _chunk_results(
     sampling: ScanSampling,
     keep_samples: bool,
 ) -> Iterator[tuple]:
-    """``_scan_chunk`` results in share order, computed on SCAN_THREADS
-    threads with at most 2 * SCAN_THREADS shares in flight.  Each share runs
-    in its own copy of the caller's context, so numpy's errstate and any
-    context variables apply inside the workers."""
-    with ThreadPoolExecutor(SCAN_THREADS) as pool:
-        pending: deque = deque()
+    """``_scan_chunk`` results in share order, computed on the scan pool
+    with at most 2 * SCAN_THREADS shares in flight.  Each share runs in its
+    own copy of the caller's context, so numpy's errstate and any context
+    variables apply inside the workers.  When a share raises or the caller
+    stops early, the unstarted shares are cancelled and the running ones
+    finish before this returns."""
+    pool = _scan_pool()
+    pending: deque = deque()
+    try:
         for P in _scan_params(surface, sampling):
             ctx = contextvars.copy_context()
             pending.append(pool.submit(ctx.run, _scan_chunk, config, surface, k, P, keep_samples))
@@ -329,6 +390,10 @@ def _chunk_results(
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
 
 
 def convexity_scan(

@@ -203,14 +203,11 @@ def jet(
     k = c.shape[0]
     # the workspace, allocated once per call at the first block's width: the
     # differences x - p_i as one (3, k, width) array, and the 1/r and weight
-    # blocks, with a product block only at order 2.  Two allocations, not
-    # one: glibc's malloc raises its mmap threshold to the largest block it
-    # has unmapped and then keeps up to twice that resident in every thread's
-    # arena, which a single 1.5 MiB workspace turns into ~3 MiB per arena
+    # blocks, with a product block only at order 2
     nb = 3 if order >= 2 else 2
     size = k * min(block, rows)
-    diffs = np.empty(3 * size)
-    blocks = np.empty(nb * size)
+    work = np.empty((3 + nb) * size)
+    diffs, blocks = work[:3 * size], work[3 * size:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lo in range(0, rows, block):
             s = slice(lo, lo + block)

@@ -2,13 +2,20 @@
 from __future__ import annotations
 
 import contextvars
+import json
 import math
+import multiprocessing
+import os
+import platform
+import subprocess
 import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghconvex.convexity as convexity_module
 import ghconvex.potential as potential_module
@@ -36,7 +43,7 @@ from ghconvex.convexity import MARGIN_TOL, eigvals3_batch
 from ghconvex.potential import PointConfiguration
 from ghconvex.surfaces import chart_domain, lifted_sff_batch, surface_data_batch
 
-from conftest import random_config, reference_jet
+from conftest import random_config, reference_jet, rotation
 
 
 def random_symmetric(rng, n):
@@ -384,24 +391,129 @@ def _chunk_index(surface, sampling):
 
 def test_scan_raises_the_earliest_failing_chunk(monkeypatch):
     cfg = make_config(0.0, [((0.0, 0.0, 0.5), 1), ((0.3, 0.0, -0.4), 1)])
-    sphere, sampling = Sphere(3.0), ScanSampling(grid=(100, 100), random=0)
+    sphere, sampling = Sphere(3.0), ScanSampling(grid=(200, 200), random=0)
     monkeypatch.setattr(convexity_module, "SCAN_THREADS", 4)
     index = _chunk_index(sphere, sampling)
-    assert len(index) >= 4
+    assert len(index) == 8              # four queued behind the first four
     original = convexity_module.surface_data_batch
+    finished = []
 
     def failing(surface, P):
         i = index[tuple(P[0])]
-        if i == 1:
-            time.sleep(0.05)            # fails later in time than chunk 3
-            raise SolverFailure("chunk 1")
-        if i == 3:
-            raise SolverFailure("chunk 3")
-        return original(surface, P)
+        try:
+            if i == 1:
+                time.sleep(0.05)        # fails later in time than chunk 3
+                raise SolverFailure("chunk 1")
+            if i == 3:
+                raise SolverFailure("chunk 3")
+            if i >= 4:
+                time.sleep(0.05)        # still queued or running at the failure
+            return original(surface, P)
+        finally:
+            finished.append(i)
 
     monkeypatch.setattr(convexity_module, "surface_data_batch", failing)
-    with pytest.raises(SolverFailure, match="chunk 1"):
-        convexity_scan(cfg, sphere, 1, sampling)
+    pools = []
+    for _ in range(2):
+        with pytest.raises(SolverFailure, match="chunk 1"):
+            convexity_scan(cfg, sphere, 1, sampling)
+        # every share of the failed scan was cancelled or has finished
+        done = len(finished)
+        time.sleep(0.2)
+        assert len(finished) == done
+        pools.append(convexity_module._scan_pool())
+    assert pools[0] is pools[1]
+    monkeypatch.setattr(convexity_module, "SCAN_THREADS", 3)
+    assert convexity_module._scan_pool() is not pools[0]
+
+
+def _report_bytes(rep):
+    return json.dumps(rep.to_dict()).encode() + rep.argmin_x.tobytes()
+
+
+def _scan_in_child(writer):
+    writer.send_bytes(_report_bytes(convexity_scan(*_far_sphere(20), 1)))
+    writer.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_scan_runs_in_a_forked_child():
+    """A child forked after a scan inherits the pool object but none of its
+    threads; its own scan must start a pool of its own, not wait forever."""
+    expected = _report_bytes(convexity_scan(*_far_sphere(20), 1))
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_scan_in_child, args=(writer,))
+    child.start()
+    try:
+        child.join(60)
+        assert not child.is_alive() and child.exitcode == 0
+        assert reader.recv_bytes() == expected
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()
+
+
+class _FakeLibc:
+    """A C library with mallopt that records its calls; glibc when it has
+    gnu_get_libc_version."""
+
+    def __init__(self, glibc):
+        self.calls = []
+        self.mallopt = lambda param, value: self.calls.append((param, value))
+        if glibc:
+            self.gnu_get_libc_version = lambda: b"2.36"
+
+
+def test_malloc_thresholds_are_pinned_on_glibc_alone(monkeypatch):
+    for name in convexity_module._MALLOC_ENV:
+        monkeypatch.delenv(name, raising=False)
+    other, glibc = _FakeLibc(False), _FakeLibc(True)
+    for libc in (other, glibc):
+        monkeypatch.setattr(convexity_module.ctypes, "CDLL", lambda name, libc=libc: libc)
+        convexity_module._pin_malloc_thresholds()
+    assert other.calls == []
+    assert glibc.calls == [(-3, 4 << 20), (-1, 8 << 20)]
+    # an environment that tunes malloc itself is left to do so
+    for name in convexity_module._MALLOC_ENV:
+        monkeypatch.setenv(name, "1")
+        convexity_module._pin_malloc_thresholds()
+        monkeypatch.delenv(name)
+    assert len(glibc.calls) == 2
+
+
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from ghconvex import Sphere, convexity_scan, make_config
+
+points = np.random.default_rng(50).uniform(-3.0, 3.0, (50, 3))
+cfg = make_config(0.0, [(p, 1) for p in points])
+sphere = Sphere(5.1 * float(np.linalg.norm(points, axis=1).max()))
+convexity_scan(cfg, sphere, 1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    convexity_scan(cfg, sphere, 1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy applies to glibc only")
+def test_warm_scans_fault_in_no_pages():
+    """After one scan, pool threads reuse their heaps: three more default
+    50-centre scans take almost no minor faults (about 5k when glibc trims
+    each thread's heap after every share).  A fresh interpreter, so that no
+    earlier allocation has moved glibc's thresholds."""
+    env = {name: value for name, value in os.environ.items()
+           if name not in convexity_module._MALLOC_ENV}
+    src = os.path.dirname(os.path.dirname(convexity_module.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True,
+                           text=True, timeout=120, check=True)
+    assert int(probe.stdout) < 300
 
 
 def test_scan_chunks_run_in_the_callers_context(monkeypatch):
@@ -441,3 +553,37 @@ def test_scan_threads_follow_the_affinity_mask(monkeypatch):
     monkeypatch.delattr(convexity_module.os, "sched_getaffinity")
     monkeypatch.setattr(convexity_module.os, "cpu_count", lambda: 6)
     assert convexity_module._usable_cpus() == 6
+
+
+_TRIANGLE = np.array([[2.0 / math.sqrt(3.0), 0.0, 0.0], [-1.0 / math.sqrt(3.0), 1.0, 0.0],
+                      [-1.0 / math.sqrt(3.0), -1.0, 0.0]])
+_AXIS_PAIR = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+# the paper's symmetric configurations: (centres, surface around them)
+SYMMETRIC = {
+    "sphere": (_AXIS_PAIR, lambda foci: Sphere(3.0)),
+    "two-foci": (_AXIS_PAIR, lambda foci: MultiFociEllipsoid(foci, 3.0)),
+    "three-foci": (_TRIANGLE, lambda foci: MultiFociEllipsoid(foci, 3.6)),   # criterion 7
+}
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(case=st.sampled_from(sorted(SYMMETRIC)), k=st.integers(1, 3),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: sum(x * x for x in v) > 1e-6),
+       angle=st.floats(0.0, 1e-6))
+def test_scan_verdict_survives_tiny_rotations(case, k, axis, angle):
+    """Turning centres and surface together by at most 1e-6 rad keeps the
+    scan's verdict.  The chart samples stay where they are while the
+    geometry turns, so each sees the field at a point moved by up to
+    angle * |x|: the minimum moves in proportion to the angle, by at most
+    0.023 angle * scale in these cases, on top of 1e-12 scale of rounding."""
+    points, surface = SYMMETRIC[case]
+    u = np.asarray(axis) / np.linalg.norm(axis)
+    Q = rotation((math.cos(0.5 * angle), *(math.sin(0.5 * angle) * u)))
+    sampling = ScanSampling(grid=(64, 64), random=2000)
+    base = convexity_scan(make_config(0.0, [(p, 1) for p in points]), surface(points), k,
+                          sampling, keep_samples=True)
+    moved = points @ Q.T
+    turned = convexity_scan(make_config(0.0, [(p, 1) for p in moved]), surface(moved), k, sampling)
+    scale = base.samples_table[int(np.argmin(base.samples_table[:, 5])), 6]
+    assert turned.verdict == base.verdict
+    assert abs(turned.min_eigensum - base.min_eigensum) <= (1e-12 + 0.1 * angle) * scale
