@@ -42,7 +42,6 @@ from .surfaces import (
     Sphere,
     SurfacePointData,
     TwoFociEllipsoid,
-    chart,
     chart_domain,
     lifted_mean_curvature,
     lifted_sff,
@@ -56,7 +55,6 @@ from .convexity import (
     ScanSampling,
     brute_force_grassmannian_min,
     convexity_scan,
-    eigvals3,
     k_smallest_eigensum,
     sylvester_positive,
 )
@@ -68,17 +66,13 @@ from .barriers import (
     constant_C,
     constant_Rk,
     constants_Rk,
-    cylinder_hyp_margin,
     cylinder_hyp_margin_batch,
     cylinder_margin_curve,
     cylinder_threshold,
     ellipsoid_inequalities,
-    plane_hyp_margin,
     plane_hyp_margin_batch,
     plane_margin_curve,
-    sphere_codim2_margins,
     sphere_codim2_margins_batch,
-    sphere_hyp_margin,
     sphere_hyp_margin_batch,
     sphere_margin_curve,
     sphere_threshold,
@@ -88,7 +82,6 @@ from .stability import (
     SegmentSurface,
     counterexample_closed_form,
     counterexample_config,
-    gaussian_curvature_direct,
     gaussian_curvature_direct_batch,
     mn_decomposition,
     mn_decomposition_batch,

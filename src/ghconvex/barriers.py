@@ -30,13 +30,9 @@ from .surfaces import _orthobasis
 __all__ = [
     "MarginCurve",
     "Codim2Curve",
-    "sphere_hyp_margin",
     "sphere_hyp_margin_batch",
-    "cylinder_hyp_margin",
     "cylinder_hyp_margin_batch",
-    "plane_hyp_margin",
     "plane_hyp_margin_batch",
-    "sphere_codim2_margins",
     "sphere_codim2_margins_batch",
     "ellipsoid_inequalities",
     "constant_C",
@@ -80,18 +76,13 @@ def _as_points(xs) -> np.ndarray:
 
 
 def sphere_hyp_margin_batch(config: PointConfiguration, xs) -> np.ndarray:
+    """<grad phi, x> + 4 phi per row; positive iff the origin-centred sphere
+    through x is strictly 3-convex there (inward orientation)."""
     xs = _as_points(xs)
+    if np.any((xs ** 2).sum(axis=1) == 0.0):
+        raise InvalidParams("points must be nonzero: the sphere through x has centre 0 and radius |x|")
     vals, grads, _ = phi_jet_batch(config, xs, 1)
     return np.einsum("nj,nj->n", grads, xs) + 4.0 * vals
-
-
-def sphere_hyp_margin(config: PointConfiguration, x: Sequence[float]) -> float:
-    """<grad phi, x> + 4 phi; positive iff the origin-centred sphere through
-    x is strictly 3-convex there (inward orientation)."""
-    x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) == 0.0:
-        raise InvalidParams("x must be nonzero (sphere through x is centred at 0)")
-    return float(sphere_hyp_margin_batch(config, x[None, :])[0])
 
 
 def _axis_frame(axis) -> tuple[np.ndarray, np.ndarray]:
@@ -100,6 +91,8 @@ def _axis_frame(axis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cylinder_hyp_margin_batch(config: PointConfiguration, xs, axis=((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))) -> np.ndarray:
+    """<grad phi, nu_out> + 2 phi / r per row, r the distance from x to the
+    axis and nu_out the outward radial unit vector."""
     xs = _as_points(xs)
     q, w = _axis_frame(axis)
     rel = xs - q
@@ -112,44 +105,28 @@ def cylinder_hyp_margin_batch(config: PointConfiguration, xs, axis=((0.0, 0.0, 0
     return np.einsum("nj,nj->n", grads, nu_out) + 2.0 * vals / r
 
 
-def cylinder_hyp_margin(config: PointConfiguration, x, axis=((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))) -> float:
-    """<grad phi, nu_out> + 2 phi / r at x, r the distance from x to the
-    axis and nu_out the outward radial unit vector."""
-    x = np.asarray(x, dtype=float)
-    return float(cylinder_hyp_margin_batch(config, x[None, :], axis)[0])
-
-
 def plane_hyp_margin_batch(config: PointConfiguration, xs, direction) -> np.ndarray:
+    """-<grad phi, direction> per row; positive when the plane is strictly
+    3-convex toward the half-space on direction's side (the centre-free one)."""
     xs = _as_points(xs)
     d = _unit(direction, "direction")
     _, grads, _ = phi_jet_batch(config, xs, 1)
     return -grads @ d
 
 
-def plane_hyp_margin(config: PointConfiguration, x, direction) -> float:
-    """-<grad phi, direction>; positive when the plane is strictly 3-convex
-    toward the half-space in direction's side (the centre-free one)."""
-    x = np.asarray(x, dtype=float)
-    return float(plane_hyp_margin_batch(config, x[None, :], direction)[0])
-
-
 def sphere_codim2_margins_batch(config: PointConfiguration, xs) -> tuple[np.ndarray, np.ndarray]:
+    """(minor1, det_aux) per row, controlling full convexity of the lifted
+    sphere: the form is positive definite at x iff minor1 > 0 and
+    det_aux < 0."""
     xs = _as_points(xs)
+    r2 = (xs ** 2).sum(axis=1)
+    if np.any(r2 == 0.0):
+        raise InvalidParams("points must be nonzero: the sphere through x has centre 0 and radius |x|")
     vals, grads, _ = phi_jet_batch(config, xs, 1)
     gx = np.einsum("nj,nj->n", grads, xs)
     minor1 = gx + 2.0 * vals
-    det_aux = (grads ** 2).sum(axis=1) + 2.0 * vals * gx / (xs ** 2).sum(axis=1)
+    det_aux = (grads ** 2).sum(axis=1) + 2.0 * vals * gx / r2
     return minor1, det_aux
-
-
-def sphere_codim2_margins(config: PointConfiguration, x: Sequence[float]) -> tuple[float, float]:
-    """(minor1, det_aux) controlling full convexity of the lifted sphere:
-    the form is positive definite at x iff minor1 > 0 and det_aux < 0."""
-    x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) == 0.0:
-        raise InvalidParams("x must be nonzero (sphere through x is centred at 0)")
-    m1, da = sphere_codim2_margins_batch(config, x[None, :])
-    return float(m1[0]), float(da[0])
 
 
 def ellipsoid_inequalities(
@@ -263,7 +240,7 @@ def _directions(n: int, seed: int) -> np.ndarray:
 def sphere_margin_curve(
     config: PointConfiguration, radii: Sequence[float], n_dirs: int = 512, seed: int = 0
 ) -> list[MarginCurve]:
-    """Worst sphere_hyp_margin over n_dirs random directions, per radius."""
+    """Worst sphere_hyp_margin_batch over n_dirs random directions, per radius."""
     thr = sphere_threshold(config)
     dirs = _directions(n_dirs, seed)
     out = []

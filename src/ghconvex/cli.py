@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -255,15 +256,20 @@ def _cmd_counterexample(args) -> _Result:
     )
 
 
-def _count(text: str) -> int:
-    """argparse type of sample and step counts: an integer >= 1."""
+def _int_at_least(low: int, what: str, text: str) -> int:
+    """argparse type, bound to (low, what) by functools.partial: an integer
+    >= low, else the usage error "expected <what> integer"."""
     try:
         n = int(text)
     except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        n = low - 1
+    if n < low:
+        raise argparse.ArgumentTypeError(f"expected {what} integer, got {text!r}")
     return n
+
+
+_count = partial(_int_at_least, 1, "a positive")     # sample and step counts
+_seed = partial(_int_at_least, 0, "a non-negative")  # numpy's generators reject negative seeds
 
 
 def _vec3(text: str) -> list[float]:
@@ -285,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+            p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
 
     p = sub.add_parser("constants", help="threshold constants C and R_k")
     p.add_argument("--kmax", type=int, default=10)

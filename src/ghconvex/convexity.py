@@ -35,7 +35,6 @@ __all__ = [
     "ConvexityReport",
     "ScanSampling",
     "k_smallest_eigensum",
-    "eigvals3",
     "eigvals3_batch",
     "brute_force_grassmannian_min",
     "sylvester_positive",
@@ -177,9 +176,6 @@ def eigvals3_batch(S: np.ndarray) -> np.ndarray:
     digits, go to LAPACK in one call.
     """
     S = np.asarray(S, dtype=float)
-    single = S.ndim == 2
-    if single:
-        S = S[None, :, :]
     q, p, phi, diag_like, clustered = _eigvals3_parts(S)
     out = np.empty((S.shape[0], 3))
     hi = q + 2.0 * p * np.cos(phi)
@@ -190,7 +186,7 @@ def eigvals3_batch(S: np.ndarray) -> np.ndarray:
     out[:, 2] = hi
     out[diag_like] = q[diag_like, None]
     out[clustered] = np.linalg.eigvalsh(S[clustered])
-    return out[0] if single else out
+    return out
 
 
 def _smallest_eigvals3(S: np.ndarray) -> np.ndarray:
@@ -203,11 +199,6 @@ def _smallest_eigvals3(S: np.ndarray) -> np.ndarray:
     return lo
 
 
-def eigvals3(S: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of one symmetric 3x3 matrix."""
-    return eigvals3_batch(_check_symmetric(S))
-
-
 def k_smallest_eigensum(S: np.ndarray, k: int) -> float:
     """Sum of the k smallest eigenvalues of a symmetric 3x3 matrix.
 
@@ -217,13 +208,11 @@ def k_smallest_eigensum(S: np.ndarray, k: int) -> float:
     S = _check_symmetric(S)
     if k not in (1, 2, 3):
         raise InvalidK(f"k must be 1, 2 or 3, got {k}")
-    if k == 3:
-        return float(S[0, 0] + S[1, 1] + S[2, 2])
-    lam = eigvals3_batch(S)
-    return float(lam[:k].sum())
+    return float(_eigensum_batch(S[None], k)[0])
 
 
 def _eigensum_batch(S: np.ndarray, k: int) -> np.ndarray:
+    """k_smallest_eigensum of each row of (N, 3, 3) input."""
     if k == 3:
         return S[:, 0, 0] + S[:, 1, 1] + S[:, 2, 2]
     if k == 1:

@@ -38,7 +38,6 @@ from .surfaces import _orthobasis
 __all__ = [
     "SegmentSurface",
     "CurvatureSample",
-    "gaussian_curvature_direct",
     "gaussian_curvature_direct_batch",
     "mn_decomposition",
     "mn_decomposition_batch",
@@ -137,10 +136,6 @@ def gaussian_curvature_direct_batch(seg: SegmentSurface, ts) -> np.ndarray:
     return hesss[:, 2, 2] / (2.0 * vals ** 2) - grads[:, 2] ** 2 / vals ** 3
 
 
-def gaussian_curvature_direct(seg: SegmentSurface, t: float) -> float:
-    return float(gaussian_curvature_direct_batch(seg, [t])[0])
-
-
 @dataclass(frozen=True)
 class CurvatureSample:
     """One curvature evaluation with its M + N split."""
@@ -152,7 +147,11 @@ class CurvatureSample:
     terms: tuple[float, float, float, float]
 
 
-def _mn_arrays(seg: SegmentSurface, ts: np.ndarray):
+def mn_decomposition_batch(seg: SegmentSurface, ts):
+    """(K, M, N, (I, II, III, IV)) at each t: the split of K through the
+    satellite potential phit given in the module docstring."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    seg._check_t(ts)
     a = seg.a
     _, _, vals, grads, hesss = jet(
         seg.config.mass, seg.satellites, seg.satellite_multiplicities, _axis_points(ts)
@@ -171,17 +170,9 @@ def _mn_arrays(seg: SegmentSurface, ts: np.ndarray):
     return K, M, N, (t1, t2, t3, t4)
 
 
-def mn_decomposition_batch(seg: SegmentSurface, ts):
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    seg._check_t(ts)
-    return _mn_arrays(seg, ts)
-
-
 def mn_decomposition(seg: SegmentSurface, t: float) -> CurvatureSample:
     """Curvature at t through the satellite-potential decomposition."""
-    ts = np.array([float(t)])
-    seg._check_t(ts)
-    K, M, N, terms = _mn_arrays(seg, ts)
+    K, M, N, terms = mn_decomposition_batch(seg, float(t))
     return CurvatureSample(
         t=float(t),
         K=float(K[0]),

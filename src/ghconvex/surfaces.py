@@ -43,7 +43,6 @@ __all__ = [
     "AdaptedSFF",
     "surface_point",
     "surface_data_batch",
-    "chart",
     "lifted_sff",
     "lifted_sff_batch",
     "lifted_mean_curvature",
@@ -375,11 +374,6 @@ def surface_data_batch(surface: BarrierSurface, params: np.ndarray):
         return X, u, v, nu, sff, mean
 
     return _multifoci_data(surface, P)
-
-
-def chart(surface: BarrierSurface, params: np.ndarray) -> np.ndarray:
-    """Chart map alone: (N, 2) parameters -> (N, 3) surface points."""
-    return surface_data_batch(surface, params)[0]
 
 
 def surface_point(surface: BarrierSurface, params: Sequence[float]) -> SurfacePointData:

@@ -14,7 +14,6 @@ from ghconvex import (
     constant_C,
     constant_Rk,
     constants_Rk,
-    cylinder_hyp_margin,
     cylinder_hyp_margin_batch,
     cylinder_margin_curve,
     cylinder_threshold,
@@ -24,9 +23,7 @@ from ghconvex import (
     phi_jet,
     plane_hyp_margin_batch,
     plane_margin_curve,
-    sphere_codim2_margins,
     sphere_codim2_margins_batch,
-    sphere_hyp_margin,
     sphere_hyp_margin_batch,
     sphere_margin_curve,
     sphere_threshold,
@@ -83,21 +80,30 @@ def test_flat_sphere_margin():
     cfg = make_config(0.0, [((0.0, 0.0, 0.0), 1)])
     for r in (0.5, 1.0, 2.0):
         x = np.array([0.0, r, 0.0])
-        assert sphere_hyp_margin(cfg, x) == pytest.approx(3.0 / (2.0 * r), rel=1e-14)
+        assert sphere_hyp_margin_batch(cfg, x[None])[0] == pytest.approx(3.0 / (2.0 * r), rel=1e-14)
 
 
 def test_flat_codim2_margins():
     cfg = make_config(0.0, [((0.0, 0.0, 0.0), 1)])
     for r in (0.5, 1.0, 2.0):
-        minor1, det_aux = sphere_codim2_margins(cfg, (r, 0.0, 0.0))
+        minor1, det_aux = (v[0] for v in sphere_codim2_margins_batch(cfg, [(r, 0.0, 0.0)]))
         assert minor1 == pytest.approx(1.0 / (2.0 * r), rel=1e-14)
         assert det_aux == pytest.approx(-1.0 / (4.0 * r ** 4), rel=1e-13)
+
+
+def test_sphere_margins_reject_the_origin():
+    # the sphere through x = 0 has radius 0; det_aux would divide by |x|^2
+    cfg = make_config(0.0, [((0.0, 0.0, 1.0), 1)])
+    xs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for margins in (sphere_hyp_margin_batch, sphere_codim2_margins_batch):
+        with pytest.raises(InvalidParams, match="nonzero"):
+            margins(cfg, xs)
 
 
 def test_flat_cylinder_margin():
     cfg = make_config(0.0, [((0.0, 0.0, 0.0), 1)])
     r = 1.5
-    assert cylinder_hyp_margin(cfg, (r, 0.0, 0.0)) == pytest.approx(
+    assert cylinder_hyp_margin_batch(cfg, [(r, 0.0, 0.0)])[0] == pytest.approx(
         1.0 / (2.0 * r ** 2), rel=1e-14
     )
 
@@ -171,7 +177,7 @@ def test_codim2_pattern_matches_sylvester():
         for x in r * unit_dirs(rng, 40):
             if np.linalg.norm(x[None] - cfg.points, axis=1).min() < 0.05:
                 continue
-            minor1, det_aux = sphere_codim2_margins(cfg, x)
+            minor1, det_aux = (v[0] for v in sphere_codim2_margins_batch(cfg, x[None]))
             azimuth = np.arctan2(x[1], x[0]) % (2 * np.pi)
             polar = np.arccos(np.clip(x[2] / r, -1, 1))
             if polar < 1e-3 or polar > np.pi - 1e-3:

@@ -223,14 +223,19 @@ def test_usage_and_validation_errors(cfg_file, tmp_path, capsys):
         ["margins", "--family", "plane", "--steps", "0"],
         ["margins", "--family", "codim2", "--dirs", "two"],
         ["curvature", "--i", "0", "--j", "1", "--samples", "-3"],
+        ["scan", "--surface", "sphere", "--r", "3", "--seed", "-1"],
+        ["margins", "--family", "sphere", "--seed", "-1"],
+        ["geodesics", "--seed", "-1"],
     ],
 )
 def test_non_positive_counts_are_usage_errors(cfg_file, argv, capsys):
+    """Counts must be >= 1 and seeds >= 0; argparse rejects the rest."""
     extra = ["--pmin", "2", "--pmax", "3"] if argv[0] == "margins" else []
     with pytest.raises(SystemExit) as exc:
         run(argv + ["--config", cfg_file] + extra)
     assert exc.value.code == 2
-    assert "expected a positive integer" in capsys.readouterr().err
+    wanted = "a non-negative" if "--seed" in argv else "a positive"
+    assert f"expected {wanted} integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -242,6 +247,8 @@ def test_non_positive_counts_are_usage_errors(cfg_file, argv, capsys):
         (["constants", "--kmax", "1"], "--kmax must be >= 2, got 1"),
         (["margins", "--config", "CFG", "--family", "cylinder", "--direction", "1,0,0",
           "--pmin", "2", "--pmax", "3"], "--direction applies only to --family plane, not cylinder"),
+        (["margins", "--config", "CFG", "--family", "sphere", "--pmin", "0", "--pmax", "1", "--steps", "2"],
+         "points must be nonzero: the sphere through x has centre 0 and radius |x|"),
     ],
 )
 def test_counts_and_flags_the_cli_cannot_honour(cfg_file, argv, message, capsys):

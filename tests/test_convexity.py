@@ -34,7 +34,6 @@ from ghconvex import (
     TwoFociEllipsoid,
     brute_force_grassmannian_min,
     convexity_scan,
-    eigvals3,
     k_smallest_eigensum,
     make_config,
     sylvester_positive,
@@ -72,7 +71,7 @@ def test_eigvals3_degenerate_spectra():
         np.diag([1.0, 1.0 + 1e-14, 1.0 - 1e-14]),
     ]
     for S in cases:
-        np.testing.assert_allclose(eigvals3(S), np.linalg.eigvalsh(S), atol=1e-12)
+        np.testing.assert_allclose(eigvals3_batch(S[None])[0], np.linalg.eigvalsh(S), atol=1e-12)
 
 
 @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-8, 1e-4])

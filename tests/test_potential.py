@@ -42,24 +42,26 @@ def fd_steps(config, x):
 
 
 def fd_jet(config, x, h_g, h_H):
+    """Central-difference gradient (step h_g) and Hessian (step h_H) of phi
+    at x, from one order-0 jet call on the 6 + 36 stencil points."""
     e = np.eye(3)
-
-    def val(y):
-        return phi_jet(config, y).value
-
-    g = np.array(
-        [(val(x + h_g * e[i]) - val(x - h_g * e[i])) / (2 * h_g) for i in range(3)]
-    )
-    H = np.empty((3, 3))
     h = h_H
-    for i in range(3):
-        for j in range(3):
-            H[i, j] = (
-                val(x + h * (e[i] + e[j]))
-                - val(x + h * (e[i] - e[j]))
-                - val(x - h * (e[i] - e[j]))
-                + val(x - h * (e[i] + e[j]))
-            ) / (4 * h * h)
+    stencil = [p for i in range(3) for p in (x + h_g * e[i], x - h_g * e[i])]
+    stencil += [
+        p
+        for i in range(3)
+        for j in range(3)
+        for p in (
+            x + h * (e[i] + e[j]),
+            x + h * (e[i] - e[j]),
+            x - h * (e[i] - e[j]),
+            x - h * (e[i] + e[j]),
+        )
+    ]
+    val = phi_jet_batch(config, np.array(stencil), order=0)[0]
+    g = (val[0:6:2] - val[1:6:2]) / (2 * h_g)
+    q = val[6:].reshape(3, 3, 4)
+    H = (q[..., 0] - q[..., 1] - q[..., 2] + q[..., 3]) / (4 * h * h)
     return g, H
 
 

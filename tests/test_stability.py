@@ -15,7 +15,6 @@ from ghconvex import (
     SingularPoint,
     counterexample_closed_form,
     counterexample_config,
-    gaussian_curvature_direct,
     gaussian_curvature_direct_batch,
     make_config,
     mn_decomposition,
@@ -55,7 +54,7 @@ def test_mass_one_value_at_midpoint():
     assert cs.K == pytest.approx(0.25, abs=1e-12)
     assert cs.M == pytest.approx(0.0, abs=1e-12)
     assert cs.N == pytest.approx(-4.0, abs=1e-12)
-    assert gaussian_curvature_direct(seg, 0.0) == pytest.approx(0.25, abs=1e-12)
+    assert gaussian_curvature_direct_batch(seg, [0.0])[0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_direct_matches_decomposition():
@@ -101,7 +100,7 @@ def test_curvature_matches_axis_finite_differences():
         d1 = (pp - pm) / (2 * h)
         d2 = (pp - 2 * p0 + pm) / h ** 2
         K_fd = d2 / (2 * p0 ** 2) - d1 ** 2 / p0 ** 3
-        assert gaussian_curvature_direct(seg, t) == pytest.approx(K_fd, rel=1e-5)
+        assert gaussian_curvature_direct_batch(seg, [t])[0] == pytest.approx(K_fd, rel=1e-5)
 
 
 def test_counterexample_exact_rational():
@@ -142,7 +141,7 @@ def test_positive_closed_form_means_unstable_surface():
     # eps = 0.1 certifies K < 0 at the midpoint of the two-centre segment
     cfg = counterexample_config(1.0, 0.1, 0.0)
     seg = SegmentSurface(cfg, 0, 1)
-    assert gaussian_curvature_direct(seg, 0.0) < 0
+    assert gaussian_curvature_direct_batch(seg, [0.0])[0] < 0
     min_k, _ = strong_stability_scan(seg, 200)
     assert min_k < 0
 
@@ -205,7 +204,7 @@ def test_segment_surface_validation():
         SegmentSurface(collinear, 0, 1)
     seg = SegmentSurface(cfg, 0, 1)
     with pytest.raises(SingularPoint):
-        gaussian_curvature_direct(seg, 1.0)
+        gaussian_curvature_direct_batch(seg, [1.0])
     with pytest.raises(InvalidParams):
         strong_stability_scan(seg, 50)
 
@@ -225,8 +224,8 @@ def test_tilted_segment_matches_axis_aligned():
     tilted = SegmentSurface(cfg, 0, 1)
     assert tilted.a == pytest.approx(1.0, rel=1e-12)
     for t in (-0.7, 0.0, 0.4):
-        assert gaussian_curvature_direct(tilted, t) == pytest.approx(
-            gaussian_curvature_direct(ref, t), rel=1e-10
+        assert gaussian_curvature_direct_batch(tilted, [t])[0] == pytest.approx(
+            gaussian_curvature_direct_batch(ref, [t])[0], rel=1e-10
         )
 
 

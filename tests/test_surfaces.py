@@ -17,7 +17,6 @@ from ghconvex import (
     SolverFailure,
     Sphere,
     TwoFociEllipsoid,
-    chart,
     chart_domain,
     lifted_mean_curvature,
     lifted_sff,
@@ -53,7 +52,7 @@ def fd_sff(surface, params, h=1e-4):
     p = np.asarray(params, dtype=float)
 
     def pos(q):
-        return chart(surface, np.asarray(q)[None, :])[0]
+        return surface_data_batch(surface, np.asarray(q)[None, :])[0][0]
 
     e0, e1 = np.array([h, 0.0]), np.array([0.0, h])
     xu = (pos(p + e0) - pos(p - e0)) / (2 * h)
@@ -125,7 +124,7 @@ def test_two_foci_distance_sum_identity():
     surf = TwoFociEllipsoid(a, r)
     rng = np.random.default_rng(3)
     for params in interior_params(surf, rng, 40):
-        x = chart(surf, params[None, :])[0]
+        x = surface_data_batch(surf, params[None, :])[0][0]
         total = np.linalg.norm(x - [0, 0, a]) + np.linalg.norm(x - [0, 0, -a])
         assert total == pytest.approx(2 * a * np.cosh(r), abs=1e-12)
 
@@ -135,7 +134,7 @@ def test_multifoci_level_residual():
     foci = surf.foci
     rng = np.random.default_rng(4)
     for params in interior_params(surf, rng, 60):
-        x = chart(surf, params[None, :])[0]
+        x = surface_data_batch(surf, params[None, :])[0][0]
         F = sum(np.linalg.norm(x - f) for f in foci)
         assert F == pytest.approx(surf.level, abs=1e-10)
 
