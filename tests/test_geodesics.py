@@ -1,6 +1,10 @@
 """Critical points of the potential and the invariant surfaces over segments."""
 from __future__ import annotations
 
+import hashlib
+import itertools
+import struct
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,76 @@ from ghconvex import (
 )
 
 from conftest import random_config
+
+
+def _cube(shift):
+    """Unit centres at the vertices of [-1, 1]^3, each moved by up to shift."""
+    rng = np.random.default_rng(3)
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+    return make_config(0.0, [(p + shift * rng.uniform(-1.0, 1.0, 3), 1) for p in corners])
+
+
+# SHA-256 of find_critical_points' outputs (x bytes, residual, length,
+# in_hull, isolated and signature per point) with the default seeds.
+# Captured from the finder that halved its line-search steps one kernel call
+# at a time and merged in nested Python loops: a rewrite of the search or
+# the bookkeeping may change speed, not bits.  Like the jet digests they
+# belong to numpy 2.4.6 and scipy 1.17.1 (HiGHS decides in_hull).
+FINDER_CASES = {
+    "random6-m0": (
+        lambda: random_config(np.random.default_rng(1), k=6, mass=0.0, max_mult=1),
+        "6434cefbdedc8397ac81c3b3cb0bde163dd8838c328c91866a342153c287d1b4",
+    ),
+    "random6-m1": (
+        lambda: random_config(np.random.default_rng(6), k=6, mass=1.0, max_mult=1),
+        "1c8a45a678645c0db94c11710dac1f36670c3f35b328078070e85c7e8ab347d7",
+    ),
+    "random6-m0-mult": (
+        lambda: random_config(np.random.default_rng(3), k=6, mass=0.0, max_mult=3),
+        "55429e06add12d81aeab2028a3e312827ddd1140598fff26501a3a04cd2e5627",
+    ),
+    "random6-m1-mult": (
+        lambda: random_config(np.random.default_rng(2), k=6, mass=1.0, max_mult=3),
+        "038abcc1c1ba555b5800eb10b29e553aab973e394028e80371d385fbba4af70a",
+    ),
+    "random20-m0": (
+        lambda: random_config(np.random.default_rng(4), k=20, mass=0.0, max_mult=1),
+        "b38a5967a984d2c7bd73937c335314125183b1ce231feba89dc1c4af7ef2f883",
+    ),
+    "random20-m1-mult": (
+        lambda: random_config(np.random.default_rng(5), k=20, mass=1.0, max_mult=3),
+        "2258fa25848ac4475371adecca5fcb8d1323bbf524407e90e8053c03460dc15a",
+    ),
+    "axis2": (
+        lambda: make_config(0.0, [((0, 0, 1.0), 1), ((0, 0, -1.0), 2)]),
+        "6153cf622929d7754ace64bfce7679f34daacd68668342cf3cd838d12422d01b",
+    ),
+    "collinear3": (
+        lambda: make_config(1.0, [((0, 0, -1.0), 1), ((0, 0, 0.0), 1), ((0, 0, 1.0), 1)]),
+        "3f1266ca2437dd872bbf4ab220f9f4b918ac7c35cdf8058db92a02cede431172",
+    ),
+    "equilateral": (
+        lambda: make_config(
+            0.0, [((np.cos(t), np.sin(t), 0.0), 1) for t in 2 * np.pi * np.arange(3) / 3]
+        ),
+        "42bf7d17f72e2295bc9cd66abfb207714deda63a53e034722fbcf26a516af1d5",
+    ),
+    "cube": (lambda: _cube(0.0), "1531b4506799f37c9d01f0f0b21639cbf60dabf23f9b2d746f68ad013dd603c2"),
+    "cube-perturbed": (
+        lambda: _cube(0.03),
+        "bf6a43d2ca2f7a48c46e4cb127b042841771b4bb11b5402e8cc0c7d3ff736397",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINDER_CASES))
+def test_critical_points_bits_are_pinned(name):
+    make, want = FINDER_CASES[name]
+    h = hashlib.sha256()
+    for p in find_critical_points(make()):
+        h.update(p.x.tobytes())
+        h.update(struct.pack("<dd??3i", p.residual, p.length, p.in_hull, p.isolated, *p.hessian_signature))
+    assert h.hexdigest() == want
 
 
 def test_two_centres_single_saddle():
