@@ -246,7 +246,10 @@ def _cmd_counterexample(args) -> _Result:
     value = stability.counterexample_closed_form(a, eps, m)
     args.a, args.eps, args.m = str(a), str(eps), str(m)
     exact = str(value)
-    approx = float(value)
+    try:
+        approx = float(value)
+    except OverflowError as exc:
+        raise InvalidParams("the closed form is beyond the float range") from exc
     return _Result(
         {"value": exact, "value_float": approx, "certifies_instability": bool(approx > 0)},
         ["a", "eps", "m", "value", "value_float"],

@@ -339,7 +339,12 @@ def _scan_chunk(
         P, X, U, V, NU, SFF, vals, grads = (a[ok] for a in (P, X, U, V, NU, SFF, vals, grads))
     S = lifted_sff_batch(config, X, U, V, NU, SFF, jet=(vals, grads))
     margins = _eigensum_batch(S, k)
-    scales = np.sqrt((S ** 2).sum(axis=(1, 2)))
+    with np.errstate(over="ignore"):
+        scales = np.sqrt((S ** 2).sum(axis=(1, 2)))
+    big = ~np.isfinite(scales)
+    if big.any():
+        # the squares overflow on tiny surfaces: hypot scales as it goes
+        scales[big] = np.hypot.reduce(S[big].reshape(-1, 9), axis=1)
     tol = MARGIN_TOL * scales
     best = (math.inf, None, None)
     if margins.size:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -101,17 +102,10 @@ def in_convex_hull(points: np.ndarray, x: Sequence[float], tol: float) -> bool:
     # variables: lambda_1..k, t;  minimize t
     c = np.zeros(k + 1)
     c[-1] = 1.0
-    A_ub = np.zeros((6, k + 1))
-    b_ub = np.zeros(6)
-    for d in range(3):
-        A_ub[d, :k] = P[:, d]
-        A_ub[d, -1] = -1.0
-        b_ub[d] = x[d]
-        A_ub[3 + d, :k] = -P[:, d]
-        A_ub[3 + d, -1] = -1.0
-        b_ub[3 + d] = -x[d]
-    A_eq = np.zeros((1, k + 1))
-    A_eq[0, :k] = 1.0
+    # +-(lambda @ P - x) <= t, coordinate by coordinate
+    A_ub = np.hstack([np.vstack([P.T, -P.T]), -np.ones((6, 1))])
+    b_ub = np.concatenate([x, -x])
+    A_eq = np.append(np.ones(k), 0.0)[None, :]
     res = linprog(
         c,
         A_ub=A_ub,
@@ -128,13 +122,20 @@ def in_convex_hull(points: np.ndarray, x: Sequence[float], tol: float) -> bool:
 
 
 def _newton_batch(config: PointConfiguration, seeds: np.ndarray) -> np.ndarray:
-    """Damped Newton on grad phi from each seed; returns converged points."""
+    """Damped Newton on grad phi from each seed; returns converged points.
+
+    Each iteration backtracks over the fixed ladder alpha = 2^-j, j = 0..19,
+    and takes the first alpha that lowers a row's residual (simple
+    decrease): the full steps in one kernel call, then the 19 shorter steps
+    of the rows the full step did not improve in a second.
+    """
     delta = config.exclusion_radius
     centre_mid = config.points.mean(axis=0)
     bound = 10.0 * (1.0 + config.diameter)
     X = np.array(seeds, dtype=float)
     active = config.min_centre_distance(X) > delta
     done: list[np.ndarray] = []
+    ladder = np.ldexp(1.0, -np.arange(1, 20))[:, None, None]
 
     def residuals(pts: np.ndarray) -> np.ndarray:
         # non-finite rows fail the bound test (inf or nan distance)
@@ -145,16 +146,16 @@ def _newton_batch(config: PointConfiguration, seeds: np.ndarray) -> np.ndarray:
     for _ in range(80):
         if not np.any(active):
             break
-        pts = X[active]
+        alive = np.nonzero(active)[0]
+        pts = X[alive]
         _, scale, _, grads, hesss = _jet(config, pts, 2)
         res = np.linalg.norm(grads, axis=1)
         conv = res <= 1e-12 * scale
         if np.any(conv):
             done.append(pts[conv])
-            idx = np.nonzero(active)[0]
-            active[idx[conv]] = False
-            pts, grads, hesss, res = pts[~conv], grads[~conv], hesss[~conv], res[~conv]
-            if pts.shape[0] == 0:
+            active[alive[conv]] = False
+            alive, pts, grads, hesss, res = (a[~conv] for a in (alive, pts, grads, hesss, res))
+            if not alive.size:
                 continue
         try:
             steps = np.linalg.solve(hesss, -grads[:, :, None])[:, :, 0]
@@ -162,29 +163,27 @@ def _newton_batch(config: PointConfiguration, seeds: np.ndarray) -> np.ndarray:
             steps = np.stack(
                 [np.linalg.lstsq(H, -g, rcond=None)[0] for H, g in zip(hesss, grads)]
             )
-        alive = np.nonzero(active)[0]
-        alpha = np.ones(pts.shape[0])
-        improved = np.zeros(pts.shape[0], dtype=bool)
-        trial = pts.copy()
-        for _ in range(20):
-            need = ~improved
-            if not np.any(need):
-                break
-            cand = pts[need] + alpha[need, None] * steps[need]
-            better = residuals(cand) < res[need]
-            sel = np.nonzero(need)[0]
-            trial[sel[better]] = cand[better]
-            improved[sel[better]] = True
-            alpha[sel[~better]] *= 0.5
+        trial = pts + steps
+        improved = residuals(trial) < res
+        retry = np.nonzero(~improved)[0]
+        if retry.size:
+            cand = pts[retry] + ladder * steps[retry]          # (19, rows, 3)
+            better = residuals(cand.reshape(-1, 3)).reshape(19, -1) < res[retry]
+            hit = better.any(axis=0)
+            trial[retry[hit]] = cand[better.argmax(axis=0)[hit], hit]
+            improved[retry[hit]] = True
         X[alive] = trial
         # seeds that cannot decrease the residual any more are dropped (none
         # of them is converged: those left the batch above)
         active[alive[~improved]] = False
-    if done:
-        pts = np.vstack([d for d in done if d.size])
-    else:
-        pts = np.zeros((0, 3))
-    return pts
+    return np.vstack([np.zeros((0, 3)), *done])
+
+
+def _distances(P: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """|P_i - x| per row: the matmul norm takes np.linalg.norm's dot-product
+    bits, which a row sum of squares does not."""
+    d = P - x
+    return np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
 
 
 def find_critical_points(
@@ -205,14 +204,9 @@ def find_critical_points(
     pts = config.points
     seed_list = []
     if seeds.midpoints:
-        for i in range(k):
-            for j in range(i + 1, k):
-                seed_list.append(0.5 * (pts[i] + pts[j]))
-    if seeds.centroids and k >= 3:
-        for i in range(k):
-            for j in range(i + 1, k):
-                for l in range(j + 1, k):
-                    seed_list.append((pts[i] + pts[j] + pts[l]) / 3.0)
+        seed_list += [0.5 * (pts[i] + pts[j]) for i, j in combinations(range(k), 2)]
+    if seeds.centroids:
+        seed_list += [(pts[i] + pts[j] + pts[l]) / 3.0 for i, j, l in combinations(range(k), 3)]
     if seeds.random > 0:
         rng = np.random.default_rng(seeds.seed)
         w = rng.dirichlet(np.ones(k), size=seeds.random)
@@ -220,57 +214,48 @@ def find_critical_points(
     if not seed_list:
         return []
     converged = _newton_batch(config, np.array(seed_list))
-    if converged.shape[0] == 0:
-        return []
 
-    # final filter at the contract tolerance
-    _, scale, _, grads, _ = _jet(config, converged, 1)
+    # one order-2 pass: the filter at the contract tolerance, then the
+    # values and Hessians of the representatives it keeps
+    _, scale, vals, grads, hesss = _jet(config, converged, 2)
     res = np.linalg.norm(grads, axis=1)
-    ok = res <= RESIDUAL_TOL * scale
-    converged, res = converged[ok], res[ok]
-    if converged.shape[0] == 0:
-        return []
-
-    # merge duplicates within 1e-6 * diameter, deterministically
     order = np.lexsort((converged[:, 2], converged[:, 1], converged[:, 0]))
-    converged, res = converged[order], res[order]
+    order = order[res[order] <= RESIDUAL_TOL * scale[order]]
+
+    # merge duplicates within 1e-6 * diameter, deterministically: in
+    # lexicographic order, each point joins the first representative within
+    # merge_tol and replaces it if its residual is lower
     merge_tol = MERGE_SCALE * max(config.diameter, 1e-30)
     reps: list[int] = []
-    for idx in range(converged.shape[0]):
-        for r in reps:
-            if np.linalg.norm(converged[idx] - converged[r]) < merge_tol:
-                if res[idx] < res[r]:
-                    reps[reps.index(r)] = idx
-                break
-        else:
+    rep_pts = np.empty((order.size, 3))
+    for idx in order:
+        near = np.nonzero(_distances(rep_pts[:len(reps)], converged[idx]) < merge_tol)[0]
+        if not near.size:
+            rep_pts[len(reps)] = converged[idx]
             reps.append(idx)
-    reps_pts = converged[sorted(reps, key=lambda t: tuple(converged[t]))]
+        elif res[idx] < res[reps[near[0]]]:
+            rep_pts[near[0]] = converged[idx]
+            reps[near[0]] = idx
+    reps.sort(key=lambda t: tuple(converged[t]))
+    reps_pts = converged[reps]
 
     hull_tol = HULL_TOL * (1.0 + config.diameter)
     cluster_tol = CLUSTER_SCALE * max(config.diameter, 1e-30)
-    _, _, vals, grads, hesss = _jet(config, reps_pts, 2)
-    lam = eigvals3_batch(hesss)
+    lam = eigvals3_batch(hesss[reps])
+    zero_tol = 1e-8 * np.maximum(np.abs(lam).max(axis=1), 1e-300)[:, None]
+    sigs = np.stack([lam < -zero_tol, np.abs(lam) <= zero_tol, lam > zero_tol]).sum(axis=2)
     out = []
-    for idx in range(reps_pts.shape[0]):
-        x = reps_pts[idx]
-        zero_tol = 1e-8 * max(float(np.abs(lam[idx]).max()), 1e-300)
-        sig = (
-            int((lam[idx] < -zero_tol).sum()),
-            int((np.abs(lam[idx]) <= zero_tol).sum()),
-            int((lam[idx] > zero_tol).sum()),
-        )
-        near = [
-            j for j in range(reps_pts.shape[0])
-            if j != idx and np.linalg.norm(reps_pts[j] - x) < cluster_tol
-        ]
+    for n, (r, x) in enumerate(zip(reps, reps_pts)):
+        near = _distances(reps_pts, x) < cluster_tol
+        near[n] = False
         out.append(
             CriticalPoint(
                 x=x.copy(),
-                residual=float(np.linalg.norm(grads[idx])),
-                length=2.0 * math.pi / math.sqrt(float(vals[idx])),
+                residual=float(np.linalg.norm(grads[r])),
+                length=2.0 * math.pi / math.sqrt(float(vals[r])),
                 in_hull=in_convex_hull(config.points, x, hull_tol),
-                hessian_signature=sig,
-                isolated=not near,
+                hessian_signature=tuple(int(c) for c in sigs[:, n]),
+                isolated=not near.any(),
             )
         )
     return out

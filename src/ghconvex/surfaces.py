@@ -23,6 +23,7 @@ h = phi^-1/2 (mean_r3 - (2 phi)^-1 <grad phi, nu>).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -145,8 +146,9 @@ class TwoFociEllipsoid:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.a) and self.a > 0):
             raise InvalidParams(f"focus half-distance a must be > 0, got {self.a}")
-        if not (np.isfinite(self.r) and self.r > 0):
-            raise InvalidParams(f"ellipsoid parameter r must be > 0, got {self.r}")
+        r_max = 0.5 * math.log(sys.float_info.max)      # the chart squares cosh(r)
+        if not 0 < self.r <= r_max:
+            raise InvalidParams(f"ellipsoid parameter r must be in (0, {r_max:.6g}], got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,10 @@ class MultiFociEllipsoid:
     level: float
 
     def __post_init__(self) -> None:
-        pts = np.atleast_2d(np.asarray(self.foci, dtype=float))
+        try:
+            pts = np.atleast_2d(np.asarray(self.foci, dtype=float))
+        except (TypeError, ValueError):                 # not numbers, or ragged
+            pts = np.empty((0, 0))
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
             raise InvalidParams("foci must be an (n >= 2, 3) array")
         if not np.all(np.isfinite(pts)):

@@ -306,6 +306,20 @@ def test_chunked_scan_matches_single_pass(k, monkeypatch):
         np.testing.assert_allclose(table[:, 6], scales, rtol=1e-12)
 
 
+def test_first_of_tied_minima_wins_across_shares():
+    # with no centres phi is constant, and every k = 1 margin of a sphere is
+    # exactly 0.0 (the fibre direction): the tie spans all shares, and the
+    # report keeps the first grid sample, as np.argmin would
+    g = math.isqrt(convexity_module.SCAN_ROWS) + 1
+    assert _share_count(g * g) >= 2
+    rep = convexity_scan(
+        make_config(1.0, []), Sphere(1.0), 1, ScanSampling(grid=(g, g), random=0), keep_samples=True
+    )
+    assert np.all(rep.samples_table[:, 5] == 0.0) and rep.min_eigensum == 0.0
+    np.testing.assert_array_equal(rep.argmin_params, rep.samples_table[0, :2])
+    np.testing.assert_array_equal(rep.argmin_params, [math.pi / g, 0.5 * math.pi / g])
+
+
 def _far_sphere(k=50):
     rng = np.random.default_rng(k)
     cfg = random_config(rng, k=k, mass=0.0, max_mult=1)
@@ -321,7 +335,10 @@ def _traced_peak(cfg, sphere, sampling):
         tracemalloc.stop()
 
 
-def test_scan_memory_does_not_grow_with_samples():
+def test_scan_memory_does_not_grow_with_samples(monkeypatch):
+    # the share sizes, and so the peaks, depend on the thread count: at one
+    # thread the two scans split into shares of 6596 and 8118 rows
+    monkeypatch.setattr(convexity_module, "SCAN_THREADS", 2)
     cfg, sphere = _far_sphere()
     convexity_scan(cfg, sphere, 1, ScanSampling(grid=(8, 8), random=64))
     small, large = ScanSampling(), ScanSampling(grid=(256, 256), random=4 * 10 ** 4)

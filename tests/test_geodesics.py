@@ -8,6 +8,8 @@ import struct
 import numpy as np
 import pytest
 
+from ghconvex import geodesics
+from ghconvex.potential import jet
 from ghconvex import (
     InvalidIndex,
     InvalidParams,
@@ -91,6 +93,22 @@ def test_critical_points_bits_are_pinned(name):
         h.update(p.x.tobytes())
         h.update(struct.pack("<dd??3i", p.residual, p.length, p.in_hull, p.isolated, *p.hessian_signature))
     assert h.hexdigest() == want
+
+
+@pytest.mark.parametrize("name", ["random6-m0", "random6-m1-mult"])
+def test_newton_makes_few_kernel_calls(name, monkeypatch):
+    # one order-2 call per Newton iteration and at most two order-1 calls
+    # for its line search; halving one kernel call at a time made 423-513
+    orders = []
+
+    def counting(*args):
+        orders.append(args[-1])
+        return jet(*args)
+
+    monkeypatch.setattr(geodesics, "jet", counting)
+    find_critical_points(FINDER_CASES[name][0]())
+    assert len(orders) <= 100
+    assert orders.count(1) <= 2 * orders.count(2)
 
 
 def test_two_centres_single_saddle():

@@ -311,6 +311,27 @@ def test_jet_dilation_law(seed, lam):
     assert np.all(np.abs(lam ** 3 * h1 - hesss).max(axis=(1, 2)) <= 1e-12 * hess_scale)
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    mults=st.lists(st.integers(1, 3), min_size=1, max_size=8),
+    mass=st.sampled_from([0.0, 1.0]),
+    gap=st.floats(0.0, 9.0),
+)
+def test_hessian_is_traceless_off_the_centres(seed, mults, mass, gap):
+    """phi is harmonic: Tr Hess phi = 0 to 1e-10 ||Hess phi||, at points
+    from just outside a centre's exclusion radius (gap 0) to 1e9 times it."""
+    rng = np.random.default_rng(seed)
+    cfg = make_config(mass, zip(random_config(rng, k=len(mults)).points, mults))
+    u = rng.standard_normal((16, 3))
+    u *= 1.001 * cfg.exclusion_radius * 10 ** gap / np.linalg.norm(u, axis=1, keepdims=True)
+    xs = cfg.points[rng.integers(cfg.k)] + u
+    dmin, _, _, _, hesss = potential.jet(cfg.mass, cfg.points, cfg.multiplicities, xs)
+    assert np.all(dmin > cfg.exclusion_radius)
+    trace = np.trace(hesss, axis1=1, axis2=2)
+    assert np.all(np.abs(trace) <= 1e-10 * np.linalg.norm(hesss, axis=(1, 2)))
+
+
 def test_singular_row_in_last_chunk():
     rng = np.random.default_rng(3)
     cfg = random_config(rng, k=3)
