@@ -168,7 +168,7 @@ def _newton_batch(config: PointConfiguration, seeds: np.ndarray) -> np.ndarray:
         retry = np.nonzero(~improved)[0]
         if retry.size:
             cand = pts[retry] + ladder * steps[retry]          # (19, rows, 3)
-            better = residuals(cand.reshape(-1, 3)).reshape(19, -1) < res[retry]
+            better = residuals(cand.reshape(-1, 3)).reshape(len(ladder), -1) < res[retry]
             hit = better.any(axis=0)
             trial[retry[hit]] = cand[better.argmax(axis=0)[hit], hit]
             improved[retry[hit]] = True

@@ -8,8 +8,6 @@ import struct
 import numpy as np
 import pytest
 
-from ghconvex import geodesics
-from ghconvex.potential import jet
 from ghconvex import (
     InvalidIndex,
     InvalidParams,
@@ -21,6 +19,8 @@ from ghconvex import (
     make_config,
     phi_jet,
 )
+from ghconvex import geodesics
+from ghconvex.potential import jet
 
 from conftest import random_config
 
