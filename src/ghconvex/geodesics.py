@@ -15,7 +15,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .convexity import eigvals3_batch
 from .errors import InvalidIndex, InvalidParams
@@ -94,6 +93,10 @@ def in_convex_hull(points: np.ndarray, x: Sequence[float], tol: float) -> bool:
     or coplanar hulls.  The answer is the gap of the returned weights,
     recomputed: the LP's own optimum may use HiGHS's 1e-7 feasibility slack.
     """
+    # imported here, not at module level: it takes longer to load than the
+    # rest of ghconvex, and only hull tests need it
+    from scipy.optimize import linprog
+
     P = np.asarray(points, dtype=float)
     x = np.asarray(x, dtype=float)
     k = P.shape[0]
