@@ -17,6 +17,7 @@ from .errors import (
     InvalidK,
     InvalidParams,
     NoConvergence,
+    NonFiniteEigensum,
     NotSymmetric,
     OnAxis,
     SingularPoint,

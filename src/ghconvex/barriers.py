@@ -68,10 +68,16 @@ class Codim2Curve:
     threshold: float
 
 
+# largest coordinate magnitude a margin accepts: |x|^2 stays finite below it
+_MAX_COORD = math.sqrt(np.finfo(float).max / 3.0)
+
+
 def _as_points(xs) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.ndim != 2 or xs.shape[1] != 3:
         raise InvalidParams(f"points must have shape (N, 3), got {xs.shape}")
+    if not np.all(np.abs(xs) < _MAX_COORD):
+        raise InvalidParams(f"point coordinates must be finite and below {_MAX_COORD:.3g} in magnitude")
     return xs
 
 

@@ -275,6 +275,16 @@ _count = partial(_int_at_least, 1, "a positive")     # sample and step counts
 _seed = partial(_int_at_least, 0, "a non-negative")  # numpy's generators reject negative seeds
 
 
+def _finite(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = np.nan
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def _vec3(text: str) -> list[float]:
     parts = [float(p) for p in text.replace(",", " ").split()]
     if len(parts) != 3:
@@ -324,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("margins", help="margin curve across radii/offsets")
     p.add_argument("--config", required=True)
     p.add_argument("--family", required=True, choices=["sphere", "cylinder", "plane", "codim2"])
-    p.add_argument("--pmin", type=float, required=True, help="first swept radius/offset")
-    p.add_argument("--pmax", type=float, required=True, help="last swept radius/offset")
+    p.add_argument("--pmin", type=_finite, required=True, help="first swept radius/offset")
+    p.add_argument("--pmax", type=_finite, required=True, help="last swept radius/offset")
     p.add_argument("--steps", type=_count, default=50)
     p.add_argument("--dirs", type=_count, default=512, help="samples per swept value")
     p.add_argument("--direction", type=_vec3, help="plane direction (default e3)")

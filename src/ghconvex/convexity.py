@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import InvalidK, InvalidParams, NotSymmetric, TooFewSamples
+from .errors import InvalidK, InvalidParams, NonFiniteEigensum, NotSymmetric, TooFewSamples
 from .potential import PointConfiguration, jet
 from .surfaces import (
     BarrierSurface,
@@ -330,16 +330,19 @@ def _scan_chunk(
     """One share of convexity_scan: surface data, one order-1 jet pass (its
     nearest-centre distance is the exclusion check), the lift and the
     eigensum.  Returns (violated, strict, (min, P_i, X_i), samples, skipped,
-    table)."""
-    X, U, V, NU, SFF, _ = surface_data_batch(surface, P)
-    dmin, _, vals, grads, _ = jet(config.mass, config.points, config.multiplicities, X, 1)
-    ok = dmin > config.exclusion_radius
-    skipped = P.shape[0] - int(np.count_nonzero(ok))
-    if skipped:
-        P, X, U, V, NU, SFF, vals, grads = (a[ok] for a in (P, X, U, V, NU, SFF, vals, grads))
-    S = lifted_sff_batch(config, X, U, V, NU, SFF, jet=(vals, grads))
-    margins = _eigensum_batch(S, k)
-    with np.errstate(over="ignore"):
+    nonfinite, table), nonfinite counting the kept samples whose eigensum is
+    not finite.  Floating-point warnings are off: a sample whose arithmetic
+    leaves the float range shows as a non-finite eigensum, which
+    convexity_scan raises by name."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        X, U, V, NU, SFF, _ = surface_data_batch(surface, P)
+        dmin, _, vals, grads, _ = jet(config.mass, config.points, config.multiplicities, X, 1)
+        ok = dmin > config.exclusion_radius
+        skipped = P.shape[0] - int(np.count_nonzero(ok))
+        if skipped:
+            P, X, U, V, NU, SFF, vals, grads = (a[ok] for a in (P, X, U, V, NU, SFF, vals, grads))
+        S = lifted_sff_batch(config, X, U, V, NU, SFF, jet=(vals, grads))
+        margins = _eigensum_batch(S, k)
         scales = np.sqrt((S ** 2).sum(axis=(1, 2)))
     big = ~np.isfinite(scales)
     if big.any():
@@ -357,6 +360,7 @@ def _scan_chunk(
         best,
         margins.size,
         skipped,
+        margins.size - int(np.count_nonzero(np.isfinite(margins))),
         table,
     )
 
@@ -401,7 +405,8 @@ def convexity_scan(
     chart-wide sample set.
 
     Samples within the exclusion radius of a centre are skipped and counted;
-    more than 50% skipped raises TooFewSamples.  The verdict applies
+    more than 50% skipped raises TooFewSamples, and a kept sample whose
+    k-eigensum is not finite raises NonFiniteEigensum.  The verdict applies
     MARGIN_TOL relative to each sample's Frobenius norm: StrictlyConvex when
     every margin clears +tol*scale, Violated when any falls below
     -tol*scale, Inconclusive otherwise.  Samples go in shares of at most
@@ -421,10 +426,10 @@ def convexity_scan(
                 "plane must strictly separate the centres from its normal side"
             )
     best = (math.inf, None, None)           # first minimum wins, as np.argmin
-    samples = skipped = 0
+    samples = skipped = nonfinite = 0
     violated, strict = False, True
     tables = []
-    for c_violated, c_strict, c_best, c_samples, c_skipped, table in _chunk_results(
+    for c_violated, c_strict, c_best, c_samples, c_skipped, c_nonfinite, table in _chunk_results(
         config, surface, k, sampling, keep_samples
     ):
         violated = violated or c_violated
@@ -433,11 +438,16 @@ def convexity_scan(
             best = c_best
         samples += c_samples
         skipped += c_skipped
+        nonfinite += c_nonfinite
         if keep_samples:
             tables.append(table)
     if samples < skipped:
         raise TooFewSamples(
             f"{skipped} of {samples + skipped} samples fell inside exclusion radii"
+        )
+    if nonfinite:
+        raise NonFiniteEigensum(
+            f"the {k}-eigensum overflows the float range at {nonfinite} of {samples} samples"
         )
     if violated:
         verdict = "Violated"

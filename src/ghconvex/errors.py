@@ -8,6 +8,7 @@ __all__ = [
     "SolverFailure",
     "NotSymmetric",
     "TooFewSamples",
+    "NonFiniteEigensum",
     "InvalidParams",
     "InvalidK",
     "InvalidIndex",
@@ -42,6 +43,10 @@ class NotSymmetric(GHConvexError):
 
 class TooFewSamples(GHConvexError):
     """Singular-point skipping removed more than half of a scan's samples."""
+
+
+class NonFiniteEigensum(GHConvexError):
+    """A scan's k-eigensum overflowed the float range at some kept samples."""
 
 
 class InvalidParams(GHConvexError):

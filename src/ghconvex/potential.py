@@ -48,7 +48,10 @@ def block_rows(k: int) -> int:
 
 def _vec3(p: Any, what: str) -> np.ndarray:
     """p as a new finite float 3-vector; InvalidParams naming it otherwise."""
-    a = np.array(p, dtype=float)
+    try:
+        a = np.array(p, dtype=float)
+    except (TypeError, ValueError, OverflowError):     # not numbers, or ragged
+        a = np.empty(0)
     if a.shape != (3,) or not np.all(np.isfinite(a)):
         raise InvalidParams(f"{what} must be a finite 3-vector")
     return a

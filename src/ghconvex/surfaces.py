@@ -459,29 +459,26 @@ def parse_surface(data: dict) -> BarrierSurface:
             raise InvalidParams(f'surface family "{fam}" requires "{key}"')
         return rest.pop(key, default)
 
+    def number(key, default=None):
+        """Field key as a float; required when it has no default."""
+        val = take(key, default, required=default is None)
+        try:
+            return float(val)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidParams(f'surface field "{key}" must be a number, got {val!r}') from None
+
     if fam == "sphere":
-        r = take("r", required=True)
-        centre = take("centre", (0.0, 0.0, 0.0))
-        out: BarrierSurface = Sphere(float(r), centre)
+        out: BarrierSurface = Sphere(number("r"), take("centre", (0.0, 0.0, 0.0)))
     elif fam == "cylinder":
-        r = take("r", required=True)
-        point = take("point", (0.0, 0.0, 0.0))
-        axis = take("axis", (0.0, 0.0, 1.0))
-        span = float(take("span", 10.0))
-        out = Cylinder(float(r), point, axis, span)
+        out = Cylinder(
+            number("r"), take("point", (0.0, 0.0, 0.0)), take("axis", (0.0, 0.0, 1.0)), number("span", 10.0)
+        )
     elif fam == "plane":
-        normal = take("normal", required=True)
-        offset = take("offset", required=True)
-        span = float(take("span", 10.0))
-        out = Plane(normal, float(offset), span)
+        out = Plane(take("normal", required=True), number("offset"), number("span", 10.0))
     elif fam == "ellipsoid2":
-        a = take("a", required=True)
-        r = take("r", required=True)
-        out = TwoFociEllipsoid(float(a), float(r))
+        out = TwoFociEllipsoid(number("a"), number("r"))
     elif fam == "ellipsoidN":
-        foci = take("foci", required=True)
-        level = take("level", required=True)
-        out = MultiFociEllipsoid(foci, float(level))
+        out = MultiFociEllipsoid(take("foci", required=True), number("level"))
     else:
         raise InvalidParams(f'unknown surface family "{fam}"')
     if rest:

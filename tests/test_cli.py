@@ -1,6 +1,8 @@
 """Batch front-end: subcommands, exit codes, report formats, determinism."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,9 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghconvex
 from ghconvex.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture
@@ -249,6 +257,9 @@ def test_non_positive_counts_are_usage_errors(cfg_file, argv, capsys):
           "--pmin", "2", "--pmax", "3"], "--direction applies only to --family plane, not cylinder"),
         (["margins", "--config", "CFG", "--family", "sphere", "--pmin", "0", "--pmax", "1", "--steps", "2"],
          "points must be nonzero: the sphere through x has centre 0 and radius |x|"),
+        # |x|^2 would overflow
+        (["margins", "--config", "CFG", "--family", "cylinder", "--pmin", "2", "--pmax", "1e308", "--steps", "2"],
+         "point coordinates must be finite and below 7.74e+153 in magnitude"),
     ],
 )
 def test_counts_and_flags_the_cli_cannot_honour(cfg_file, argv, message, capsys):
@@ -267,7 +278,23 @@ def test_zero_plane_direction_is_named(cfg_file, capsys):
     assert "error: plane direction must be nonzero" in err
 
 
+# runs each argv of sys.argv[1] through cli.run, then reports the exit codes
+# and the scipy modules loaded
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from ghconvex.cli import run
+exits = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        exits.append(run(argv))
+print(json.dumps({"exits": exits, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
 def test_console_entry_point():
+    """The CLI runs as a fresh process, and only hull tests load scipy: the
+    golden runs of every other command leave it unloaded, and a fresh
+    geodesics run, whose hull tests import it, reproduces its golden."""
     # the child imports the same ghconvex package as this test, installed or not
     src = str(Path(ghconvex.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -280,3 +307,60 @@ def test_console_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert "C" in doc and "2" in doc["R_k"]
+
+    others = [case for case in CASES if case["argv"][0] != "geodesics"]
+    assert {case["argv"][0] for case in others} == {
+        "constants", "counterexample", "stability", "curvature", "margins", "scan"
+    }
+    probe = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps([case["argv"] for case in others])],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout) == {"exits": [case["exit"] for case in others], "scipy": []}
+
+    geodesics = next(case for case in CASES if case["name"] == "geodesics-json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghconvex.cli", *geodesics["argv"]],
+        capture_output=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "geodesics-json.out").read_bytes()
+
+
+# stand-ins for one value of a golden argv: signs, zeros, the ends of the
+# float range, non-numbers, JSON objects and strings, a missing @file
+HOSTILE = [
+    "-1", "0", "-0", "1e308", "-1e308", "1e-308", "-1e-308", "nan", "inf", "-inf", "", "abc",
+    "{}", "[]", '"abc"', '{"family": "sphere"}', '{"family": "sphere", "r": {}}',
+    '{"family": "sphere", "r": 1, "centre": "ab"}', "@missing",
+]
+# (golden argv with its files made absolute, index of a flag's value)
+VALUE_SLOTS = [
+    ([str(ROOT / a) if a.startswith("tests/golden/") else a for a in case["argv"]], i)
+    for case in CASES
+    for i in range(1, len(case["argv"]))
+    if case["argv"][i - 1].startswith("--") and not case["argv"][i].startswith("--")
+]
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(slot=st.sampled_from(VALUE_SLOTS), token=st.sampled_from(HOSTILE))
+def test_hostile_values_end_in_an_exit_code(slot, token):
+    """One value of a golden argv replaced by a hostile token: no exception
+    escapes cli.run, the exit code is 0, 1 or 2, exit 2 ends stderr with an
+    error or usage line, and exit 1 means an --expect failed."""
+    argv, i = slot
+    argv = argv[:i] + [token] + argv[i + 1:]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:   # argparse's usage errors
+            code = exc.code
+    last = err.getvalue().rstrip("\n").rsplit("\n", 1)[-1]
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert last.startswith(("error: ", "usage: ")) or ": error: " in last
+    if code == 1:
+        assert "--expect" in argv

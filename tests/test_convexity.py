@@ -25,6 +25,7 @@ from ghconvex import (
     InvalidK,
     InvalidParams,
     MultiFociEllipsoid,
+    NonFiniteEigensum,
     NotSymmetric,
     Plane,
     ScanSampling,
@@ -224,6 +225,14 @@ def test_scan_rejects_bad_inputs():
         convexity_scan(cfg, Sphere(tiny), 1, ScanSampling(grid=(8, 8), random=50))
     with pytest.raises(InvalidParams, match="random sample count must be >= 0, got -5"):
         convexity_scan(cfg, Sphere(2.0), 1, ScanSampling(grid=(8, 8), random=-5))
+    # a round sphere of radius 1e-300 has a lifted form near 1e300, whose k = 1
+    # and 2 eigensums overflow: the count adds up over all shares
+    two = make_config(0.0, [((0, 0, 1.0), 1), ((0, 0, -1.0), 1)])
+    n = 120 * 120 + 600
+    assert _share_count(n) >= 2
+    for k in (1, 2):
+        with pytest.raises(NonFiniteEigensum, match=f"the {k}-eigensum overflows the float range at {n} of {n} samples"):
+            convexity_scan(two, Sphere(1e-300), k, ScanSampling(grid=(120, 120), random=600))
 
 
 def _reference_scan(config, surface, k, sampling):
