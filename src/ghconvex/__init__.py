@@ -18,6 +18,7 @@ from .errors import (
     InvalidParams,
     NoConvergence,
     NonFiniteEigensum,
+    NonFiniteReport,
     NotSymmetric,
     OnAxis,
     SingularPoint,
@@ -27,7 +28,7 @@ from .errors import (
 from .potential import (
     PointConfiguration,
     PotentialJet,
-    check_harmonic,
+    jet,
     load_config,
     make_config,
     parse_config,
@@ -44,7 +45,6 @@ from .surfaces import (
     SurfacePointData,
     TwoFociEllipsoid,
     chart_domain,
-    lifted_mean_curvature,
     lifted_sff,
     lifted_sff_batch,
     parse_surface,
@@ -54,10 +54,9 @@ from .surfaces import (
 from .convexity import (
     ConvexityReport,
     ScanSampling,
-    brute_force_grassmannian_min,
     convexity_scan,
+    eigvals3_batch,
     k_smallest_eigensum,
-    sylvester_positive,
 )
 from .barriers import (
     Codim2Curve,
@@ -78,13 +77,12 @@ from .barriers import (
     sphere_margin_curve,
     sphere_threshold,
 )
+from .rootfind import bisect_newton
 from .stability import (
-    CurvatureSample,
     SegmentSurface,
     counterexample_closed_form,
     counterexample_config,
     gaussian_curvature_direct_batch,
-    mn_decomposition,
     mn_decomposition_batch,
     strong_stability_scan,
     sufficient_condition,

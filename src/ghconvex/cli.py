@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import partial
@@ -19,7 +20,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from . import barriers, convexity, geodesics, stability
-from .errors import GHConvexError, InvalidParams
+from .errors import GHConvexError, InvalidParams, NonFiniteReport
 from .potential import load_config
 from .surfaces import parse_surface
 
@@ -33,7 +34,10 @@ def _fmt(v) -> str:
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return format(float(v), ".17g")
+    x = float(v)
+    if not math.isfinite(x):
+        raise NonFiniteReport(f"the report would hold {x}: the inputs leave the float range")
+    return format(x, ".17g")
 
 
 class _Result(NamedTuple):
@@ -56,17 +60,24 @@ def _write_report(args, result: _Result) -> int:
 
     The run spec is the parsed arguments minus the ones that only steer the
     process; commands resolve their arguments in ``args`` before returning.
+    A non-finite number in the report raises NonFiniteReport before anything
+    is written; strings such as "inf" pass.
     """
     spec = {"command": args.command}
     spec.update((k, v) for k, v in vars(args).items() if k not in ("command", "func", "out"))
-    if args.format == "json":
-        text = json.dumps({"runspec": spec, **result.body}, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = ["# runspec: " + json.dumps(spec, sort_keys=True), ",".join(result.header)]
-        lines += [",".join(_fmt(v) for v in row) for row in result.rows]
-        if result.trailer:
-            lines.append(result.trailer)
-        text = "\n".join(lines) + "\n"
+    try:
+        if args.format == "json":
+            text = json.dumps({"runspec": spec, **result.body}, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        else:
+            lines = ["# runspec: " + json.dumps(spec, sort_keys=True, allow_nan=False), ",".join(result.header)]
+            lines += [",".join(_fmt(v) for v in row) for row in result.rows]
+            if result.trailer:
+                lines.append(result.trailer)
+            text = "\n".join(lines) + "\n"
+    except ValueError:      # json.dumps refusing NaN or an infinity
+        raise NonFiniteReport(
+            "the report would hold a non-finite number: the inputs leave the float range"
+        ) from None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -381,7 +392,10 @@ def run(argv: Optional[list[str]] = None) -> int:
     args = ap.parse_args(argv)
     print(f"seed: {getattr(args, 'seed', 0)}", file=sys.stderr)
     try:
-        return _write_report(args, args.func(args))
+        # no floating-point warnings: _write_report refuses non-finite results by name
+        with np.errstate(all="ignore"):
+            result = args.func(args)
+        return _write_report(args, result)
     except (GHConvexError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

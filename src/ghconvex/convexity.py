@@ -1,10 +1,8 @@
-"""k-convexity engine: eigenvalue sums, Sylvester tests, Grassmannian
-oracle and surface-wide scans.
+"""k-convexity engine: eigenvalue sums and surface-wide scans.
 
 A hypersurface is k-convex at a point when the sum of the k smallest
 eigenvalues of its (lifted) second fundamental form is nonnegative; that sum
-equals the infimum of Tr_W S over k-planes W, which the brute-force oracle
-approximates by sampling.
+equals the infimum of Tr_W S over k-planes W.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -36,8 +34,6 @@ __all__ = [
     "ScanSampling",
     "k_smallest_eigensum",
     "eigvals3_batch",
-    "brute_force_grassmannian_min",
-    "sylvester_positive",
     "convexity_scan",
 ]
 
@@ -122,18 +118,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _check_symmetric(S: np.ndarray, what: str = "matrix") -> np.ndarray:
-    S = np.asarray(S, dtype=float)
-    if S.shape != (3, 3):
-        raise InvalidParams(f"{what} must be 3x3, got {S.shape}")
-    if not np.all(np.isfinite(S)):
-        raise InvalidParams(f"{what} must be finite")
-    scale = max(1.0, float(np.abs(S).max()))
-    if float(np.abs(S - S.T).max()) > 1e-12 * scale:
-        raise NotSymmetric(f"{what} is not symmetric within 1e-12")
-    return S
-
-
 def _eigvals3_parts(S: np.ndarray) -> tuple:
     """Trigonometric closed form of (N, 3, 3) symmetric input: mean q,
     spread p and angle phi, so the eigenvalues are q + 2p cos(phi + 2j pi/3),
@@ -205,7 +189,13 @@ def k_smallest_eigensum(S: np.ndarray, k: int) -> float:
     k = 3 returns the trace directly (exact identity), so comparisons with
     trace-based oracles carry no eigenvalue round-off.
     """
-    S = _check_symmetric(S)
+    S = np.asarray(S, dtype=float)
+    if S.shape != (3, 3):
+        raise InvalidParams(f"matrix must be 3x3, got {S.shape}")
+    if not np.all(np.isfinite(S)):
+        raise InvalidParams("matrix must be finite")
+    if float(np.abs(S - S.T).max()) > 1e-12 * max(1.0, float(np.abs(S).max())):
+        raise NotSymmetric("matrix is not symmetric within 1e-12")
     if k not in (1, 2, 3):
         raise InvalidK(f"k must be 1, 2 or 3, got {k}")
     return float(_eigensum_batch(S[None], k)[0])
@@ -219,45 +209,6 @@ def _eigensum_batch(S: np.ndarray, k: int) -> np.ndarray:
         return _smallest_eigvals3(S)
     lam = eigvals3_batch(S)
     return lam[:, 0] + lam[:, 1]
-
-
-def brute_force_grassmannian_min(S: np.ndarray, k: int, n: int, seed: int = 0) -> float:
-    """Monte Carlo upper bound: min of Tr_W S over n uniform k-planes.
-
-    Normalised Gaussian vectors u are Haar-uniform on the sphere.  k = 1
-    takes min u^T S u; k = 2 takes Tr S - max u^T S u, since the plane
-    orthogonal to a Haar-uniform normal is Haar-uniform on G(2, 3).  With a
-    fixed seed the sample set is nested in n, so the result is monotone
-    nonincreasing as n grows.  k = 3 is the single subspace G(3, R^3) =
-    {R^3}: the trace is returned exactly.
-    """
-    S = _check_symmetric(S)
-    if k not in (1, 2, 3):
-        raise InvalidK(f"k must be 1, 2 or 3, got {k}")
-    if n < 10 ** 3:
-        raise InvalidParams(f"need n >= 1000 samples, got {n}")
-    trace = float(S[0, 0] + S[1, 1] + S[2, 2])
-    if k == 3:
-        return trace
-    g = np.random.default_rng(seed).standard_normal((n, 3))
-    sq = np.einsum("ni,ni->n", g, g)
-    keep = sq > 1e-24
-    # u^T S u for u = g / |g|, without normalising the rows
-    quad = np.einsum("ni,ni->n", g @ S, g)[keep] / sq[keep]
-    return float(quad.min()) if k == 1 else trace - float(quad.max())
-
-
-def sylvester_positive(S: np.ndarray) -> bool:
-    """True iff all three leading principal minors are strictly positive."""
-    S = _check_symmetric(S)
-    m1 = S[0, 0]
-    m2 = S[0, 0] * S[1, 1] - S[0, 1] ** 2
-    m3 = (
-        S[0, 0] * (S[1, 1] * S[2, 2] - S[1, 2] ** 2)
-        - S[0, 1] * (S[0, 1] * S[2, 2] - S[1, 2] * S[0, 2])
-        + S[0, 2] * (S[0, 1] * S[1, 2] - S[1, 1] * S[0, 2])
-    )
-    return bool(m1 > 0.0 and m2 > 0.0 and m3 > 0.0)
 
 
 @dataclass(frozen=True)

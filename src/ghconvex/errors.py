@@ -9,6 +9,7 @@ __all__ = [
     "NotSymmetric",
     "TooFewSamples",
     "NonFiniteEigensum",
+    "NonFiniteReport",
     "InvalidParams",
     "InvalidK",
     "InvalidIndex",
@@ -47,6 +48,10 @@ class TooFewSamples(GHConvexError):
 
 class NonFiniteEigensum(GHConvexError):
     """A scan's k-eigensum overflowed the float range at some kept samples."""
+
+
+class NonFiniteReport(GHConvexError):
+    """A CLI report would hold NaN or an infinity: the inputs leave the float range."""
 
 
 class InvalidParams(GHConvexError):

@@ -26,9 +26,9 @@ __all__ = [
     "PotentialJet",
     "phi_jet",
     "phi_jet_batch",
-    "check_harmonic",
     "jet",
     "load_config",
+    "make_config",
     "parse_config",
 ]
 
@@ -101,6 +101,8 @@ class PointConfiguration:
         mults = np.asarray(self.multiplicities)
         if mults.shape != (pts.shape[0],):
             raise InvalidParams("multiplicities must match the number of centres")
+        if mults.size and not np.all(np.abs(mults) < 2.0 ** 63):
+            raise InvalidParams("multiplicities must be integers below 2**63")
         if mults.size and not np.issubdtype(mults.dtype, np.integer):
             ints = np.rint(mults).astype(int)
             if not np.allclose(mults, ints):
@@ -112,9 +114,12 @@ class PointConfiguration:
         if pts.shape[0] == 0 and mass == 0.0:
             raise EmptyConfiguration("no centres and zero mass: potential is identically zero")
         # Distinctness: any coincident pair makes the decomposition ill posed.
-        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        with np.errstate(over="ignore"):
+            dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
         if np.any(dist[np.triu_indices(pts.shape[0], 1)] == 0.0):
             raise InvalidParams("centres must be pairwise distinct")
+        if not np.all(np.isfinite(dist)):
+            raise InvalidParams("centres are too far apart: their squared distances overflow")
         pts = pts.copy()
         pts.setflags(write=False)
         mults = mults.copy()
@@ -135,15 +140,6 @@ class PointConfiguration:
     def min_centre_distance(self, xs: np.ndarray) -> np.ndarray:
         """Distance from each row of xs to the nearest centre (inf if none)."""
         return jet(self.mass, self.points, self.multiplicities, xs, 0)[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.mass,
-            "points": [
-                {"p": [float(v) for v in p], "c": int(c)}
-                for p, c in zip(self.points, self.multiplicities)
-            ],
-        }
 
 
 def make_config(mass: float, centres: Iterable[tuple[Sequence[float], int]]) -> PointConfiguration:
@@ -166,10 +162,6 @@ class PotentialJet:
     gradient: np.ndarray
     hessian: np.ndarray
 
-    @property
-    def laplacian(self) -> float:
-        return float(np.trace(self.hessian))
-
 
 def jet(
     mass: float,
@@ -181,9 +173,9 @@ def jet(
     """Jet of m + sum c_i/(2|x - p_i|) at each row of xs, in one pass.
 
     Returns (dmin, scale, values, gradients, Hessians): nearest-centre
-    distance (inf without centres), gradient scale sum c_i/(2|x - p_i|^2),
-    phi (N,), grad phi (N, 3) from order 1 and Hess phi (N, 3, 3) at order
-    2, else None.  No validation (the stability module's satellite-only
+    distance (inf without centres), gradient scale sum c_i/(2|x - p_i|^2)
+    at orders 0 and 2, phi (N,), grad phi (N, 3) from order 1 and Hess phi
+    (N, 3, 3) at order 2, else None.  No validation (the stability module's satellite-only
     potential may be identically zero): singular rows give inf/nan and
     callers filter on dmin.  Rows go ``block_rows(k)`` at a time; a row's
     sums do not depend on the block width.
@@ -197,7 +189,7 @@ def jet(
         xs = np.vstack([xs, xs[-1:]])
     rows = xs.shape[0]
     dmin = np.empty(rows)
-    scale = np.empty(rows)
+    scale = None if order == 1 else np.empty(rows)
     vals = np.full(rows, float(mass))
     grads = np.empty((rows, 3)) if order >= 1 else None
     hesss = np.empty((rows, 3, 3)) if order >= 2 else None
@@ -233,15 +225,14 @@ def jet(
             np.divide(1.0, inv_r, out=inv_r)
             np.multiply(c, inv_r, out=w)                   # c / r
             vals[s] += 0.5 * w.sum(axis=0)
-            w *= inv_r                                      # c / r^2
-            scale[s] = 0.5 * w.sum(axis=0)
+            if order != 1:
+                # c / r^2 for the scale: in place at order 0, into the
+                # product block at order 2, where c / r is read again
+                np.multiply(w, inv_r, out=b[-1])
+                scale[s] = 0.5 * b[-1].sum(axis=0)
             if order >= 1:
-                # the scale's product took w in place: form c / r again, so
-                # that c / r^3 = (c / r) (1/r)^2 keeps its rounding without a
-                # third block
-                np.multiply(c, inv_r, out=w)
                 inv_r *= inv_r
-                w *= inv_r                                  # c / r^3
+                w *= inv_r                                  # c / r^3 = (c / r) (1/r)^2
             if order == 1:
                 # the differences are not needed again: weight them in place
                 # and sum all three over the centres, into the gradient rows
@@ -294,11 +285,6 @@ def phi_jet(config: PointConfiguration, x: Sequence[float]) -> PotentialJet:
     x = _vec3(x, "evaluation point")
     vals, grads, hesss = phi_jet_batch(config, x[None, :])
     return PotentialJet(float(vals[0]), grads[0], hesss[0])
-
-
-def check_harmonic(config: PointConfiguration, x: Sequence[float]) -> float:
-    """Laplacian of phi at x (identically zero in exact arithmetic)."""
-    return phi_jet(config, x).laplacian
 
 
 # --- JSON configuration files -------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -37,9 +36,7 @@ from .surfaces import _orthobasis
 
 __all__ = [
     "SegmentSurface",
-    "CurvatureSample",
     "gaussian_curvature_direct_batch",
-    "mn_decomposition",
     "mn_decomposition_batch",
     "strong_stability_scan",
     "sufficient_condition",
@@ -136,17 +133,6 @@ def gaussian_curvature_direct_batch(seg: SegmentSurface, ts) -> np.ndarray:
     return hesss[:, 2, 2] / (2.0 * vals ** 2) - grads[:, 2] ** 2 / vals ** 3
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
-    """One curvature evaluation with its M + N split."""
-
-    t: float
-    K: float
-    M: float
-    N: float
-    terms: tuple[float, float, float, float]
-
-
 def mn_decomposition_batch(seg: SegmentSurface, ts):
     """(K, M, N, (I, II, III, IV)) at each t: the split of K through the
     satellite potential phit given in the module docstring."""
@@ -168,18 +154,6 @@ def mn_decomposition_batch(seg: SegmentSurface, ts):
     N = -(2.0 * a * a + 2.0 * a * pt * w + 8.0 * a * pt * ts * ts)
     K = -(M + N) / (2.0 * (a + pt * w) ** 3)
     return K, M, N, (t1, t2, t3, t4)
-
-
-def mn_decomposition(seg: SegmentSurface, t: float) -> CurvatureSample:
-    """Curvature at t through the satellite-potential decomposition."""
-    K, M, N, terms = mn_decomposition_batch(seg, float(t))
-    return CurvatureSample(
-        t=float(t),
-        K=float(K[0]),
-        M=float(M[0]),
-        N=float(N[0]),
-        terms=tuple(float(x[0]) for x in terms),
-    )
 
 
 def strong_stability_scan(seg: SegmentSurface, n: int = 500) -> tuple[float, float]:

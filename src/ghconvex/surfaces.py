@@ -46,7 +46,6 @@ __all__ = [
     "surface_data_batch",
     "lifted_sff",
     "lifted_sff_batch",
-    "lifted_mean_curvature",
     "parse_surface",
     "chart_domain",
 ]
@@ -432,12 +431,6 @@ def lifted_sff_batch(
     S[:, 0, 2] = S[:, 2, 0] = -f * q * gv
     S[:, 1, 2] = S[:, 2, 1] = f * q * gu
     return S
-
-
-def lifted_mean_curvature(config: PointConfiguration, data: SurfacePointData) -> float:
-    """Coefficient h with mean curvature vector H = h * (phi^-1/2 nu): the
-    trace of the lifted form."""
-    return float(np.trace(lifted_sff(config, data).matrix))
 
 
 # --- JSON surface specifications ------------------------------------------

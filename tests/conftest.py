@@ -1,5 +1,6 @@
-"""Shared helpers: randomized centre configurations, off-centre probes, the
-reference jet and the reference connection coefficients."""
+"""Shared helpers: randomized centre configurations, off-centre probes, and
+the oracles: the reference jet, the reference connection coefficients, the
+sampled Grassmannian minima and Sylvester's criterion."""
 from __future__ import annotations
 
 import itertools
@@ -89,6 +90,42 @@ def reference_jet(mass, points, multiplicities, xs):
     hesss = 1.5 * np.einsum("k,nk,nkij->nij", c, inv_r5, outer)
     hesss -= 0.5 * np.einsum("k,nk->n", c, inv_r3)[:, None, None] * np.eye(3)
     return vals, grads, hesss
+
+
+def grassmannian_minima(S, n, seed=0):
+    """Monte Carlo upper bounds on the k-eigensums of a symmetric 3x3 S for
+    k = 1, 2, 3, in that order: the minima of Tr_W S over n uniform k-planes
+    W, all read from one draw.  The test oracle for k_smallest_eigensum.
+
+    Normalised Gaussian vectors u are Haar-uniform on the sphere.  k = 1
+    takes min u^T S u; k = 2 takes Tr S - max u^T S u, since the plane
+    orthogonal to a Haar-uniform normal is Haar-uniform on G(2, 3).  With a
+    fixed seed the sample set is nested in n, so both bounds are monotone
+    nonincreasing as n grows.  k = 3 is the single subspace G(3, R^3) =
+    {R^3}: the trace, exactly."""
+    S = np.asarray(S, dtype=float)
+    trace = float(S[0, 0] + S[1, 1] + S[2, 2])
+    g = np.random.default_rng(seed).standard_normal((n, 3))
+    sq = np.einsum("ni,ni->n", g, g)
+    keep = sq > 1e-24
+    # u^T S u for u = g / |g|, without normalising the rows
+    quad = np.einsum("ni,ni->n", g @ S, g)[keep] / sq[keep]
+    return float(quad.min()), trace - float(quad.max()), trace
+
+
+def sylvester_positive(S):
+    """True iff all three leading principal minors of S are strictly
+    positive: Sylvester's criterion, the test oracle for positive
+    definiteness."""
+    S = np.asarray(S, dtype=float)
+    m1 = S[0, 0]
+    m2 = S[0, 0] * S[1, 1] - S[0, 1] ** 2
+    m3 = (
+        S[0, 0] * (S[1, 1] * S[2, 2] - S[1, 2] ** 2)
+        - S[0, 1] * (S[0, 1] * S[2, 2] - S[1, 2] * S[0, 2])
+        + S[0, 2] * (S[0, 1] * S[1, 2] - S[1, 1] * S[0, 2])
+    )
+    return bool(m1 > 0.0 and m2 > 0.0 and m3 > 0.0)
 
 
 def perm_sign(i, j, k):

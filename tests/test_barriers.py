@@ -28,11 +28,10 @@ from ghconvex import (
     sphere_margin_curve,
     sphere_threshold,
     surface_point,
-    sylvester_positive,
 )
 from ghconvex.rootfind import bisect_newton
 
-from conftest import random_config
+from conftest import random_config, sylvester_positive
 
 
 def unit_dirs(rng, n):

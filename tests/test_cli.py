@@ -4,9 +4,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -364,3 +366,53 @@ def test_hostile_values_end_in_an_exit_code(slot, token):
         assert last.startswith(("error: ", "usage: ")) or ": error: " in last
     if code == 1:
         assert "--expect" in argv
+
+
+# (key path into tests/golden/three.json, hostile value): the mass, any
+# coordinate or any multiplicity replaced by a value at the ends of the float
+# range, 2**63, zero, a negative, or JSON's NaN and infinities
+THREE = json.loads((GOLDEN / "three.json").read_text(encoding="utf-8"))
+CONFIG_SLOTS = [("m",)] + [
+    ("points", i, *key) for i in range(3) for key in (("p", 0), ("p", 1), ("p", 2), ("c",))
+]
+HOSTILE_NUMBERS = [1e308, -1e308, 1e-308, -1e-308, 1e154, 2 ** 63, 0, -1, math.nan, math.inf, -math.inf]
+CONFIG_COMMANDS = [
+    ["scan", "--surface", "sphere", "--r", "3", "--grid", "4", "--random", "0"],
+    ["geodesics", "--random", "5", "--seed", "2"],
+    ["stability", "--i", "0", "--j", "1", "--samples", "150"],
+    ["curvature", "--i", "0", "--j", "1", "--samples", "7"],
+    ["margins", "--family", "sphere", "--pmin", "2", "--pmax", "6", "--steps", "3", "--dirs", "16"],
+]
+
+
+def _no_constant(name):
+    raise AssertionError(f"a report printed {name} as a number")
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(slot=st.sampled_from(CONFIG_SLOTS), value=st.sampled_from(HOSTILE_NUMBERS))
+def test_hostile_config_values_end_in_an_exit_code(tmp_path_factory, slot, value):
+    """One number of a config replaced by a hostile value: scan, geodesics,
+    stability, curvature and margins raise nothing through cli.run, not even
+    a RuntimeWarning, exit with 0, 1 or 2, and an exit-0 JSON report holds
+    no NaN or infinity (json.loads takes NaN, Infinity and -Infinity only
+    through parse_constant, and rejects nan and inf)."""
+    data = json.loads(json.dumps(THREE))
+    *path, last = slot
+    node = data
+    for key in path:
+        node = node[key]
+    node[last] = value
+    config = tmp_path_factory.getbasetemp() / "hostile.json"
+    config.write_text(json.dumps(data), encoding="utf-8")
+    for command in CONFIG_COMMANDS:
+        argv = [command[0], "--config", str(config), *command[1:]]
+        out = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = run(argv)
+        assert code in (0, 1, 2)
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_no_constant)
+

@@ -33,17 +33,15 @@ from ghconvex import (
     Sphere,
     TooFewSamples,
     TwoFociEllipsoid,
-    brute_force_grassmannian_min,
     convexity_scan,
     k_smallest_eigensum,
     make_config,
-    sylvester_positive,
 )
 from ghconvex.convexity import MARGIN_TOL, eigvals3_batch
 from ghconvex.potential import PointConfiguration
 from ghconvex.surfaces import chart_domain, lifted_sff_batch, surface_data_batch
 
-from conftest import random_config, reference_jet, rotation
+from conftest import grassmannian_minima, random_config, reference_jet, rotation, sylvester_positive
 
 
 def random_symmetric(rng, n):
@@ -101,6 +99,38 @@ def test_smallest_eigenvalue_is_the_closed_forms_first():
     assert got.tobytes() == eigvals3_batch(S)[:, 0].tobytes()
 
 
+def test_diagonal_test_reads_every_entry_of_the_scale():
+    """A row whose spread p lies just above 1e-14 but at most 1e-14 max|S_ij|
+    is diagonal-like, so its eigenvalues are exactly its mean q.  Here
+    max|S_ij| is a22 = 1 + 100 ulp: a scale that skipped a22 would read 1
+    and send the row to the arccos form, whose values differ from q in the
+    last bits."""
+    a22 = 1.0 + 100 * np.finfo(float).eps
+
+    def matrix(eps):
+        return np.array([[1.0, eps, 0.0], [eps, 1.0, 0.0], [0.0, 0.0, a22]])
+
+    def spread(S):
+        # p of the closed form, operation for operation
+        q = (S[0, 0] + S[1, 1] + S[2, 2]) / 3.0
+        p1 = S[0, 1] ** 2 + S[0, 2] ** 2 + S[1, 2] ** 2
+        p2 = (S[0, 0] - q) ** 2 + (S[1, 1] - q) ** 2 + (S[2, 2] - q) ** 2 + 2.0 * p1
+        return q, np.sqrt(p2 / 6.0)
+
+    lo, hi = 0.0, 1e-13          # p below, then above 1e-14
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if spread(matrix(mid))[1] > 1e-14:
+            hi = mid
+        else:
+            lo = mid
+    S = matrix(hi)
+    q, p = spread(S)
+    assert 1e-14 < p <= 1e-14 * a22
+    assert eigvals3_batch(S[None])[0].tolist() == [q, q, q]
+    assert convexity_module._smallest_eigvals3(S[None])[0] == q
+
+
 def test_eigensum_definitions():
     S = np.diag([3.0, -1.0, 2.0])
     assert k_smallest_eigensum(S, 1) == pytest.approx(-1.0)
@@ -118,19 +148,16 @@ def test_brute_force_upper_bounds_eigensum():
     rng = np.random.default_rng(1)
     for trial, S in enumerate(random_symmetric(rng, 30)):
         nrm = np.linalg.norm(S, 2)
+        sampled = grassmannian_minima(S, 10 ** 4, seed=trial)
         for k in (1, 2, 3):
-            gap = brute_force_grassmannian_min(S, k, 10 ** 4, seed=trial) - (
-                k_smallest_eigensum(S, k)
-            )
+            gap = sampled[k - 1] - k_smallest_eigensum(S, k)
             assert 0.0 <= gap <= 1e-2 * nrm
-    with pytest.raises(InvalidParams):
-        brute_force_grassmannian_min(np.eye(3), 1, 100)
 
 
 def test_brute_force_k3_is_exact():
     rng = np.random.default_rng(2)
     S = random_symmetric(rng, 1)[0]
-    assert brute_force_grassmannian_min(S, 3, 10 ** 4) == k_smallest_eigensum(S, 3)
+    assert grassmannian_minima(S, 10 ** 4)[2] == k_smallest_eigensum(S, 3)
 
 
 def test_brute_force_nested_samples_improve():
@@ -139,7 +166,7 @@ def test_brute_force_nested_samples_improve():
     for k in (1, 2):
         prev = np.inf
         for n in (10 ** 3, 10 ** 4, 10 ** 5):
-            cur = brute_force_grassmannian_min(S, k, n, seed=5)
+            cur = grassmannian_minima(S, n, seed=5)[k - 1]
             assert cur <= prev + 1e-15  # sample sets are nested in n
             prev = cur
 

@@ -17,7 +17,6 @@ from ghconvex import (
     counterexample_config,
     gaussian_curvature_direct_batch,
     make_config,
-    mn_decomposition,
     mn_decomposition_batch,
     phi_jet,
     strong_stability_scan,
@@ -42,18 +41,17 @@ def test_two_centre_curvature_is_one():
     ts = chebyshev(100, 0.999)
     K = gaussian_curvature_direct_batch(seg, ts)
     np.testing.assert_allclose(K, 1.0, atol=1e-9)
-    for t in (-0.5, 0.0, 0.7):
-        cs = mn_decomposition(seg, t)
-        assert cs.K == pytest.approx(1.0, abs=1e-12)
-        assert cs.M == pytest.approx(0.0, abs=1e-12)
+    K, M, _, _ = mn_decomposition_batch(seg, [-0.5, 0.0, 0.7])
+    assert K == pytest.approx(np.ones(3), abs=1e-12)
+    assert M == pytest.approx(np.zeros(3), abs=1e-12)
 
 
 def test_mass_one_value_at_midpoint():
     seg = SegmentSurface(eh_config(m=1.0), 0, 1)
-    cs = mn_decomposition(seg, 0.0)
-    assert cs.K == pytest.approx(0.25, abs=1e-12)
-    assert cs.M == pytest.approx(0.0, abs=1e-12)
-    assert cs.N == pytest.approx(-4.0, abs=1e-12)
+    K, M, N, _ = mn_decomposition_batch(seg, 0.0)
+    assert K[0] == pytest.approx(0.25, abs=1e-12)
+    assert M[0] == pytest.approx(0.0, abs=1e-12)
+    assert N[0] == pytest.approx(-4.0, abs=1e-12)
     assert gaussian_curvature_direct_batch(seg, [0.0])[0] == pytest.approx(0.25, abs=1e-12)
 
 
@@ -77,12 +75,10 @@ def test_direct_matches_decomposition():
             continue
         ts = chebyshev(50, 0.95 * seg.a)
         direct = gaussian_curvature_direct_batch(seg, ts)
-        via_mn = np.array([mn_decomposition(seg, t).K for t in ts])
+        via_mn, M, _, terms = mn_decomposition_batch(seg, ts)
         scale = np.abs(direct) + 1.0
         assert np.all(np.abs(direct - via_mn) <= 1e-9 * scale)
-        for t in ts[:5]:
-            cs = mn_decomposition(seg, t)
-            assert cs.M == pytest.approx(sum(cs.terms), rel=1e-12, abs=1e-12)
+        assert M[:5] == pytest.approx(sum(t[:5] for t in terms), rel=1e-12, abs=1e-12)
         trials += 1
 
 
@@ -119,9 +115,9 @@ def test_counterexample_matches_decomposition():
     for eps, m in ((0.1, 0.0), (0.5, 0.0), (2.0, 1.0), (0.25, 0.5)):
         cfg = counterexample_config(1.0, eps, m)
         seg = SegmentSurface(cfg, 0, 1)
-        cs = mn_decomposition(seg, 0.0)
+        _, M, N, _ = mn_decomposition_batch(seg, 0.0)
         want = counterexample_closed_form(1.0, eps, m)
-        assert cs.M + cs.N == pytest.approx(want, rel=1e-9)
+        assert M[0] + N[0] == pytest.approx(want, rel=1e-9)
 
 
 def test_counterexample_single_sign_flip():

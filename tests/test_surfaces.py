@@ -18,7 +18,6 @@ from ghconvex import (
     Sphere,
     TwoFociEllipsoid,
     chart_domain,
-    lifted_mean_curvature,
     lifted_sff,
     lifted_sff_batch,
     make_config,
@@ -226,7 +225,7 @@ def test_lifted_sff_matches_connection_oracle():
             # the single-point routes read the same form
             d = surface_point(surface, P[i])
             np.testing.assert_allclose(lifted_sff(cfg, d).matrix, want, rtol=0, atol=tol)
-            assert lifted_mean_curvature(cfg, d) == pytest.approx(np.trace(want), abs=tol)
+            assert np.trace(lifted_sff(cfg, d).matrix) == pytest.approx(np.trace(want), abs=tol)
 
 
 def test_flat_lift_of_round_sphere():
@@ -234,7 +233,7 @@ def test_flat_lift_of_round_sphere():
     cfg = make_config(0.0, [((0.0, 0.0, 0.0), 1)])
     for r in (0.5, 1.0, 2.0):
         d = surface_point(Sphere(r), (1.0, 0.9))
-        h = lifted_mean_curvature(cfg, d)
+        h = np.trace(lifted_sff(cfg, d).matrix)
         assert abs(h) == pytest.approx(3.0 / np.sqrt(2.0 * r), rel=1e-12)
 
 
