@@ -24,8 +24,9 @@ from .potential import PointConfiguration, jet
 from .surfaces import (
     BarrierSurface,
     Plane,
+    _lifted_entries,
+    _sym3,
     chart_domain,
-    lifted_sff_batch,
     surface_data_batch,
 )
 
@@ -43,12 +44,35 @@ MARGIN_TOL = 1e-9  # relative to ||S||: below this a verdict is Inconclusive
 CLUSTER_TOL = 1e-6
 
 
+# where Linux mounts the cgroup hierarchy: v2's cpu.max, or v1's cpu/ files
+_CGROUP = "/sys/fs/cgroup"
+
+
+def _quota_cpus() -> Optional[int]:
+    """CPUs the cgroup CPU quota grants, quota / period rounded up: v2's
+    cpu.max, else v1's cpu.cfs_quota_us and cpu.cfs_period_us.  None where
+    neither can be read or the quota is unlimited ("max" or -1)."""
+    for files in (("cpu.max",), ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
+        fields: list = []
+        try:
+            for name in files:
+                with open(os.path.join(_CGROUP, name)) as f:
+                    fields += f.read().split()
+            quota, period = int(fields[0]), int(fields[1])
+        except OSError:
+            continue
+        except (ValueError, IndexError):                # "max", or not numbers
+            break
+        return -(-quota // period) if quota > 0 and period > 0 else None
+    return None
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
-    exposes one, else the host's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    exposes one, else the host's CPU count, capped by a cgroup CPU quota."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    quota = _quota_cpus()
+    return cpus if quota is None else min(cpus, quota)
 
 
 # Threads convexity_scan runs its shares on: numpy releases the GIL inside
@@ -58,17 +82,18 @@ SCAN_THREADS = min(4, _usable_cpus())
 # Most rows in one scan share.  The samples split into a multiple of
 # SCAN_THREADS near-equal shares of at most SCAN_ROWS rows, each one task and
 # one jet call: few tasks keep the GIL-held numpy call overhead low, and the
-# cap keeps the memory in flight independent of the sample count.
-SCAN_ROWS = 8192
+# cap keeps the memory in flight independent of the sample count.  The
+# default 26 384 samples run as one share per thread on 2 threads.
+SCAN_ROWS = 16384
 
 # glibc's mallopt parameters, and the mmap threshold the scan pool pins:
 # arrays below it come from the threads' heaps and stay mapped between
 # shares.  4 MiB covers the kernel's largest workspace, 6 * BLOCK doubles =
-# 1.5 MiB, and a share's largest array, SCAN_ROWS * 9 doubles = 576 KiB.  The
-# trim threshold is twice it, glibc's own ratio when it moves the threshold
-# itself.  Left dynamic, the threshold follows the largest block freed, each
-# share frees more than twice that, and glibc trims the heap that the next
-# share faults back in.
+# 1.5 MiB, and a share's largest array, its kept table of SCAN_ROWS * 7
+# doubles = 896 KiB.  The trim threshold is twice it, glibc's own ratio when
+# it moves the threshold itself.  Left dynamic, the threshold follows the
+# largest block freed, each share frees more than twice that, and glibc
+# trims the heap that the next share faults back in.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 4 << 20
 _MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
@@ -118,69 +143,90 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _eigvals3_parts(S: np.ndarray) -> tuple:
-    """Trigonometric closed form of (N, 3, 3) symmetric input: mean q,
-    spread p and angle phi, so the eigenvalues are q + 2p cos(phi + 2j pi/3),
-    plus the rows it leaves to other routes: diag_like (all eigenvalues q)
-    and clustered (1 - |r| < CLUSTER_TOL, for LAPACK)."""
-    a00, a11, a22 = S[:, 0, 0], S[:, 1, 1], S[:, 2, 2]
-    a01, a02, a12 = S[:, 0, 1], S[:, 0, 2], S[:, 1, 2]
+def _eigvals3(upper: tuple, lower: tuple = (), top: bool = False) -> tuple:
+    """Ascending eigenvalues of symmetric 3x3 rows from their upper entries
+    (a00, a11, a22, a01, a02, a12), 1-D arrays: the smallest, or with top
+    all three, as a tuple of arrays.  ``lower`` holds (a10, a20, a21) when
+    they are not the mirror of the upper ones; the diagonal test's scale
+    reads them and LAPACK gets the full rows.
+
+    Trigonometric closed form: mean q, spread p and angle phi, so the
+    eigenvalues are q + 2p cos(phi + 2j pi/3).  Rows with all eigenvalues q
+    (diag-like) get exactly q; rows whose characteristic discriminant is
+    near zero (1 - |r| < CLUSTER_TOL, clustered eigenvalues), where the
+    arccos loses digits, go to LAPACK in one call, the only rows assembled
+    into matrices."""
+    a00, a11, a22, a01, a02, a12 = upper
     q = (a00 + a11 + a22) / 3.0
-    e00, e11, e22 = a00 - q, a11 - q, a22 - q
-    p1 = a01 ** 2 + a02 ** 2 + a12 ** 2
-    p2 = e00 ** 2 + e11 ** 2 + e22 ** 2 + 2.0 * p1
-    p = np.sqrt(p2 / 6.0)
-    # max |S_ij| as a running elementwise maximum: the same bits as numpy's
+    p = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * (a01 ** 2 + a02 ** 2 + a12 ** 2)
+    p = np.sqrt(p / 6.0)
+    # max |a_ij| as a running elementwise maximum: the same bits as numpy's
     # reduction over the two tiny axes, at a fifth of its time
     scale = np.abs(a00)
-    for e in (a01, a02, S[:, 1, 0], a11, a12, S[:, 2, 0], S[:, 2, 1], a22):
+    for e in (a01, a02, a11, a12, a22, *lower):
         np.maximum(scale, np.abs(e), out=scale)
-    diag_like = p <= 1e-14 * np.maximum(1e-300, scale)
+    diag_like = p <= 1e-14 * np.maximum(1e-300, scale, out=scale)
     safe_p = np.where(p > 0.0, p, 1.0)
-    b00, b11, b22 = e00 / safe_p, e11 / safe_p, e22 / safe_p
+    b00, b11, b22 = (a00 - q) / safe_p, (a11 - q) / safe_p, (a22 - q) / safe_p
     b01, b02, b12 = a01 / safe_p, a02 / safe_p, a12 / safe_p
-    detb = (
+    del scale, safe_p
+    r = (
         b00 * (b11 * b22 - b12 ** 2)
         - b01 * (b01 * b22 - b12 * b02)
         + b02 * (b01 * b12 - b11 * b02)
     )
-    r = np.clip(detb / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    # In exact arithmetic |detb/2| <= 1; rows near the boundary have a
+    del b00, b01, b02, b11, b12, b22
+    r /= 2.0
+    np.clip(r, -1.0, 1.0, out=r)
+    # In exact arithmetic |r| <= 1; rows near the boundary have a
     # (near-)repeated eigenvalue and get the LAPACK treatment instead.
     clustered = (~diag_like) & (1.0 - np.abs(r) < CLUSTER_TOL)
-    return q, p, phi, diag_like, clustered
+    phi = np.arccos(r, out=r)
+    phi /= 3.0
+    p *= 2.0
+    lo = q + p * np.cos(phi + 2.0 * math.pi / 3.0)
+    lam: tuple = (lo,)
+    if top:
+        hi = q + p * np.cos(phi, out=phi)
+        lam = (lo, 3.0 * q - hi - lo, hi)
+    for e in lam:
+        e[diag_like] = q[diag_like]
+    if clustered.any():
+        S = _sym3([a[clustered] for a in upper])
+        if lower:
+            S[:, 1, 0], S[:, 2, 0], S[:, 2, 1] = (a[clustered] for a in lower)
+        exact = np.linalg.eigvalsh(S)
+        for j, e in enumerate(lam):
+            e[clustered] = exact[:, j]
+    return lam
+
+
+def _entries(S: np.ndarray) -> tuple:
+    """(upper, lower) entries of (N, 3, 3) rows, as ``_eigvals3`` reads them."""
+    upper = S[:, 0, 0], S[:, 1, 1], S[:, 2, 2], S[:, 0, 1], S[:, 0, 2], S[:, 1, 2]
+    return upper, (S[:, 1, 0], S[:, 2, 0], S[:, 2, 1])
 
 
 def eigvals3_batch(S: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of symmetric (N, 3, 3) input, shape (N, 3).
-
-    Trigonometric closed form; rows whose characteristic discriminant is
-    near zero (clustered eigenvalues, |r| -> 1), where the arccos loses
-    digits, go to LAPACK in one call.
-    """
+    """Ascending eigenvalues of symmetric (N, 3, 3) input, shape (N, 3):
+    the closed form of ``_eigvals3``, LAPACK on its clustered rows."""
     S = np.asarray(S, dtype=float)
-    q, p, phi, diag_like, clustered = _eigvals3_parts(S)
-    out = np.empty((S.shape[0], 3))
-    hi = q + 2.0 * p * np.cos(phi)
-    lo = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
-    mid = 3.0 * q - hi - lo
-    out[:, 0] = lo
-    out[:, 1] = mid
-    out[:, 2] = hi
-    out[diag_like] = q[diag_like, None]
-    out[clustered] = np.linalg.eigvalsh(S[clustered])
-    return out
+    return np.stack(_eigvals3(*_entries(S), top=True), axis=1)
 
 
 def _smallest_eigvals3(S: np.ndarray) -> np.ndarray:
     """eigvals3_batch(S)[:, 0] of (N, 3, 3) input, bit for bit, without
     computing the other two eigenvalues."""
-    q, p, phi, diag_like, clustered = _eigvals3_parts(S)
-    lo = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
-    lo[diag_like] = q[diag_like]
-    lo[clustered] = np.linalg.eigvalsh(S[clustered])[:, 0]
-    return lo
+    return _eigvals3(*_entries(S))[0]
+
+
+def _frobenius(entries: tuple) -> np.ndarray:
+    """Frobenius norms of symmetric rows from their entries (a00, a11, a22,
+    a01, a02, a12), with the bits of np.sqrt((S ** 2).sum(axis=(1, 2))):
+    numpy sums a row's squares, row-major s0 .. s8, as
+    ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)) + s8."""
+    a00, a11, a22, a01, a02, a12 = (e ** 2 for e in entries)
+    return np.sqrt(((a00 + a01) + (a02 + a01)) + ((a11 + a12) + (a02 + a12)) + a22)
 
 
 def k_smallest_eigensum(S: np.ndarray, k: int) -> float:
@@ -198,17 +244,15 @@ def k_smallest_eigensum(S: np.ndarray, k: int) -> float:
         raise NotSymmetric("matrix is not symmetric within 1e-12")
     if k not in (1, 2, 3):
         raise InvalidK(f"k must be 1, 2 or 3, got {k}")
-    return float(_eigensum_batch(S[None], k)[0])
+    return float(_eigensum(*_entries(S[None]), k)[0])
 
 
-def _eigensum_batch(S: np.ndarray, k: int) -> np.ndarray:
-    """k_smallest_eigensum of each row of (N, 3, 3) input."""
+def _eigensum(upper: tuple, lower: tuple, k: int) -> np.ndarray:
+    """k_smallest_eigensum of each row given by its entries, as ``_eigvals3``."""
     if k == 3:
-        return S[:, 0, 0] + S[:, 1, 1] + S[:, 2, 2]
-    if k == 1:
-        return _smallest_eigvals3(S)
-    lam = eigvals3_batch(S)
-    return lam[:, 0] + lam[:, 1]
+        return upper[0] + upper[1] + upper[2]
+    lam = _eigvals3(upper, lower, top=k == 2)
+    return lam[0] if k == 1 else lam[0] + lam[1]
 
 
 @dataclass(frozen=True)
@@ -289,16 +333,18 @@ def _scan_chunk(
         X, U, V, NU, SFF, _ = surface_data_batch(surface, P)
         dmin, _, vals, grads, _ = jet(config.mass, config.points, config.multiplicities, X, 1)
         ok = dmin > config.exclusion_radius
+        del dmin
         skipped = P.shape[0] - int(np.count_nonzero(ok))
         if skipped:
             P, X, U, V, NU, SFF, vals, grads = (a[ok] for a in (P, X, U, V, NU, SFF, vals, grads))
-        S = lifted_sff_batch(config, X, U, V, NU, SFF, jet=(vals, grads))
-        margins = _eigensum_batch(S, k)
-        scales = np.sqrt((S ** 2).sum(axis=(1, 2)))
+        entries = _lifted_entries(vals, grads, U, V, NU, SFF)
+        del U, V, NU, SFF, vals, grads
+        margins = _eigensum(entries, (), k)
+        scales = _frobenius(entries)
     big = ~np.isfinite(scales)
     if big.any():
         # the squares overflow on tiny surfaces: hypot scales as it goes
-        scales[big] = np.hypot.reduce(S[big].reshape(-1, 9), axis=1)
+        scales[big] = np.hypot.reduce(_sym3([e[big] for e in entries]).reshape(-1, 9), axis=1)
     tol = MARGIN_TOL * scales
     best = (math.inf, None, None)
     if margins.size:

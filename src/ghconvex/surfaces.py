@@ -314,9 +314,17 @@ def _multifoci_data(surface: MultiFociEllipsoid, P: np.ndarray):
     return X, T[:, 0], T[:, 1], nu, sff, sff[:, 0, 0] + sff[:, 1, 1]
 
 
+def _constant_curvature(sff: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(SFF, MEAN) of n points with the same 2x2 form sff: read-only views,
+    one copy of the data for all rows."""
+    return np.broadcast_to(sff, (n, 2, 2)), np.broadcast_to(sff[0, 0] + sff[1, 1], (n,))
+
+
 def surface_data_batch(surface: BarrierSurface, params: np.ndarray):
     """Vectorized surface_point: returns (X, U, V, NU, SFF, MEAN) arrays
-    of shapes (N,3)x4, (N,2,2), (N,)."""
+    of shapes (N,3)x4, (N,2,2), (N,).  SFF and MEAN are read-only
+    broadcast views on the sphere, cylinder and plane, whose curvature is
+    the same at every point."""
     P = np.atleast_2d(np.asarray(params, dtype=float))
     if P.ndim != 2 or P.shape[1] != 2:
         raise InvalidParams(f"params must have shape (N, 2), got {P.shape}")
@@ -332,9 +340,7 @@ def surface_data_batch(surface: BarrierSurface, params: np.ndarray):
         u = np.stack([-sa, ca, np.zeros(n)], axis=1)          # azimuthal
         v = np.stack([cp * ca, cp * sa, -sp], axis=1)          # polar
         nu = -er
-        sff = np.broadcast_to(np.eye(2) / surface.radius, (n, 2, 2)).copy()
-        mean = np.full(n, 2.0 / surface.radius)
-        return X, u, v, nu, sff, mean
+        return X, u, v, nu, *_constant_curvature(np.eye(2) / surface.radius, n)
 
     if isinstance(surface, Cylinder):
         t, ang = P[:, 0], P[:, 1]
@@ -345,10 +351,7 @@ def surface_data_batch(surface: BarrierSurface, params: np.ndarray):
         u = np.broadcast_to(w, (n, 3)).copy()                   # axial
         v = -sa[:, None] * b1 + ca[:, None] * b2                # azimuthal
         nu = -rho
-        sff = np.zeros((n, 2, 2))
-        sff[:, 1, 1] = 1.0 / surface.radius
-        mean = np.full(n, 1.0 / surface.radius)
-        return X, u, v, nu, sff, mean
+        return X, u, v, nu, *_constant_curvature(np.diag([0.0, 1.0 / surface.radius]), n)
 
     if isinstance(surface, Plane):
         s, t = P[:, 0], P[:, 1]
@@ -356,9 +359,7 @@ def surface_data_batch(surface: BarrierSurface, params: np.ndarray):
         u = np.broadcast_to(surface._t1, (n, 3)).copy()
         v = np.broadcast_to(surface._t2, (n, 3)).copy()
         nu = np.broadcast_to(surface.normal, (n, 3)).copy()
-        sff = np.zeros((n, 2, 2))
-        mean = np.zeros(n)
-        return X, u, v, nu, sff, mean
+        return X, u, v, nu, *_constant_curvature(np.zeros((2, 2)), n)
 
     if isinstance(surface, TwoFociEllipsoid):
         a, r = surface.a, surface.r
@@ -414,23 +415,33 @@ def lifted_sff_batch(
     SFF: np.ndarray,
     jet: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
-    """(N, 3, 3) lifted forms; uses <u x grad, nu> = <grad, v> and
-    <v x grad, nu> = -<grad, u> for the right-handed frame.  ``jet`` passes
-    (phi, grad phi) at X from a pass that already excluded the centres."""
+    """(N, 3, 3) lifted forms, assembled from ``_lifted_entries``.  ``jet``
+    passes (phi, grad phi) at X from a pass that already excluded the
+    centres."""
     vals, grads = jet if jet is not None else phi_jet_batch(config, X, 1)[:2]
+    return _sym3(_lifted_entries(vals, grads, U, V, NU, SFF))
+
+
+def _lifted_entries(vals, grads, U, V, NU, SFF) -> tuple:
+    """The entries (S_00, S_11, S_22, S_01, S_02, S_12) of the lifted forms
+    as 1-D arrays, from phi and grad phi at the points and their frames;
+    uses <u x grad, nu> = <grad, v> and <v x grad, nu> = -<grad, u> for the
+    right-handed frame.  The bits of the einsum dot products depend on the
+    layout of U, V and NU: callers pass C-contiguous (N, 3) arrays."""
     f = vals ** -0.5
     q = 0.5 / vals
     gu = np.einsum("nj,nj->n", grads, U)
     gv = np.einsum("nj,nj->n", grads, V)
     gn = np.einsum("nj,nj->n", grads, NU)
-    S = np.empty((X.shape[0], 3, 3))
-    S[:, 0, 0] = f * (SFF[:, 0, 0] - q * gn)
-    S[:, 1, 1] = f * (SFF[:, 1, 1] - q * gn)
-    S[:, 0, 1] = S[:, 1, 0] = f * SFF[:, 0, 1]
-    S[:, 2, 2] = f * q * gn
-    S[:, 0, 2] = S[:, 2, 0] = -f * q * gv
-    S[:, 1, 2] = S[:, 2, 1] = f * q * gu
-    return S
+    return (f * (SFF[:, 0, 0] - q * gn), f * (SFF[:, 1, 1] - q * gn), f * q * gn,
+            f * SFF[:, 0, 1], -f * q * gv, f * q * gu)
+
+
+def _sym3(entries) -> np.ndarray:
+    """(N, 3, 3) symmetric matrices from their entries (S_00, S_11, S_22,
+    S_01, S_02, S_12)."""
+    s00, s11, s22, s01, s02, s12 = entries
+    return np.stack([s00, s01, s02, s01, s11, s12, s02, s12, s22], axis=1).reshape(-1, 3, 3)
 
 
 # --- JSON surface specifications ------------------------------------------

@@ -39,7 +39,7 @@ from ghconvex import (
 )
 from ghconvex.convexity import MARGIN_TOL, eigvals3_batch
 from ghconvex.potential import PointConfiguration
-from ghconvex.surfaces import chart_domain, lifted_sff_batch, surface_data_batch
+from ghconvex.surfaces import _lifted_entries, _sym3, chart_domain, lifted_sff_batch, surface_data_batch
 
 from conftest import grassmannian_minima, random_config, reference_jet, rotation, sylvester_positive
 
@@ -97,6 +97,61 @@ def test_smallest_eigenvalue_is_the_closed_forms_first():
     ])
     got = convexity_module._smallest_eigvals3(S)
     assert got.tobytes() == eigvals3_batch(S)[:, 0].tobytes()
+
+
+def _hostile_rows(rng):
+    """Exactly symmetric rows of every kind the kernels branch on: random,
+    clustered (LAPACK), diagonal-like, zero, and large enough that their
+    squares overflow (the scan's hypot fallback)."""
+    Q, R = np.linalg.qr(rng.standard_normal((300, 3, 3)))
+    Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+    S = np.concatenate([
+        random_symmetric(rng, 300),
+        Q @ np.diag([1.0, 1.0 + 1e-9, -2.0]) @ np.swapaxes(Q, 1, 2),
+        np.eye(3) * rng.standard_normal((300, 1, 1)),
+        np.zeros((20, 3, 3)),
+        random_symmetric(rng, 20) * 1e160,
+    ])
+    return 0.5 * (S + np.swapaxes(S, 1, 2))
+
+
+def test_entry_routes_match_the_matrix_routes_bit_for_bit():
+    """The scan's entry-wise Frobenius scale and smallest eigenvalue carry
+    the bits of the matrix routes, on contiguous entry arrays as the lift
+    returns them."""
+    S = _hostile_rows(np.random.default_rng(8))
+    entries = [np.ascontiguousarray(S[:, i, j]) for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        frobenius = convexity_module._frobenius(entries)
+        assert frobenius.tobytes() == np.sqrt((S ** 2).sum(axis=(1, 2))).tobytes()
+        assert np.isinf(frobenius[-20:]).all()
+        smallest = convexity_module._eigvals3(entries)[0]
+        assert smallest.tobytes() == eigvals3_batch(S)[:, 0].tobytes()
+
+
+def test_lift_entries_follow_the_formulas_operation_for_operation():
+    """lifted_sff_batch is the assembly of the entry helper, and each entry
+    is the module docstring's formula with its operand order: f q gn is
+    (f q) gn and -f q gv is ((-f) q) gv."""
+    rng = np.random.default_rng(9)
+    n = 200
+    vals = np.concatenate([rng.uniform(0.5, 3.0, n - 20), np.full(10, 1e-300), np.ones(10)])
+    grads = rng.standard_normal((n, 3))
+    grads[-10:] = 0.0                              # zero, then diagonal rows
+    frames = np.linalg.qr(rng.standard_normal((n, 3, 3)))[0]
+    U, V, NU = (np.ascontiguousarray(frames[:, :, i]) for i in range(3))
+    SFF = random_symmetric(rng, n)[:, :2, :2]
+    SFF[-10:] = np.eye(2)                          # a repeated eigenvalue: clustered
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = lifted_sff_batch(None, None, U, V, NU, SFF, jet=(vals, grads))
+        assert S.tobytes() == _sym3(_lifted_entries(vals, grads, U, V, NU, SFF)).tobytes()
+        f, q = vals ** -0.5, 0.5 / vals
+        gu, gv, gn = (np.einsum("nj,nj->n", grads, W) for W in (U, V, NU))
+        want = [f * (SFF[:, 0, 0] - q * gn), f * (SFF[:, 1, 1] - q * gn), (f * q) * gn,
+                f * SFF[:, 0, 1], ((-f) * q) * gv, (f * q) * gu]
+    for (i, j), entry in zip(((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)), want):
+        assert S[:, i, j].tobytes() == S[:, j, i].tobytes() == entry.tobytes()
+    assert not np.isfinite(S[-20:-10]).all()
 
 
 def test_diagonal_test_reads_every_entry_of_the_scale():
@@ -255,11 +310,11 @@ def test_scan_rejects_bad_inputs():
     # a round sphere of radius 1e-300 has a lifted form near 1e300, whose k = 1
     # and 2 eigensums overflow: the count adds up over all shares
     two = make_config(0.0, [((0, 0, 1.0), 1), ((0, 0, -1.0), 1)])
-    n = 120 * 120 + 600
+    n = 120 * 120 + 3000
     assert _share_count(n) >= 2
     for k in (1, 2):
         with pytest.raises(NonFiniteEigensum, match=f"the {k}-eigensum overflows the float range at {n} of {n} samples"):
-            convexity_scan(two, Sphere(1e-300), k, ScanSampling(grid=(120, 120), random=600))
+            convexity_scan(two, Sphere(1e-300), k, ScanSampling(grid=(120, 120), random=3000))
 
 
 def _reference_scan(config, surface, k, sampling):
@@ -356,6 +411,23 @@ def test_first_of_tied_minima_wins_across_shares():
     np.testing.assert_array_equal(rep.argmin_params, [math.pi / g, 0.5 * math.pi / g])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_scan_tables_do_not_depend_on_the_share_split(k, monkeypatch):
+    """Sphere, plane and multi-foci scans, byte for byte, whatever the share
+    size and thread count."""
+    for cfg, surface, sampling, _ in _scan_cases():
+        reports = []
+        for rows in (4096, 8192, 16384):
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(convexity_module, "SCAN_ROWS", rows)
+                monkeypatch.setattr(convexity_module, "SCAN_THREADS", threads)
+                rep = convexity_scan(cfg, surface, k, sampling, keep_samples=True)
+                reports.append((rep.samples_table.tobytes(), rep.argmin_params.tobytes(),
+                                rep.argmin_x.tobytes(), rep.min_eigensum, rep.verdict,
+                                rep.samples, rep.skipped))
+        assert all(r == reports[0] for r in reports[1:])
+
+
 def _far_sphere(k=50):
     rng = np.random.default_rng(k)
     cfg = random_config(rng, k=k, mass=0.0, max_mult=1)
@@ -373,7 +445,7 @@ def _traced_peak(cfg, sphere, sampling):
 
 def test_scan_memory_does_not_grow_with_samples(monkeypatch):
     # the share sizes, and so the peaks, depend on the thread count: at one
-    # thread the two scans split into shares of 6596 and 8118 rows
+    # thread the two scans split into shares of 13192 and 15077 rows
     monkeypatch.setattr(convexity_module, "SCAN_THREADS", 2)
     cfg, sphere = _far_sphere()
     convexity_scan(cfg, sphere, 1, ScanSampling(grid=(8, 8), random=64))
@@ -382,6 +454,20 @@ def test_scan_memory_does_not_grow_with_samples(monkeypatch):
     assert peaks[1] <= 1.2 * peaks[0]
     # nor with the centre count: kernel blocks hold a fixed number of entries
     assert _traced_peak(*_far_sphere(200), small) <= 1.2 * peaks[0]
+
+
+def test_one_share_per_thread_costs_little_memory(monkeypatch):
+    """The default 50-centre sphere scan on 2 threads, as 2 shares of 13192
+    rows, traces at most 1.4x its peak as 4 shares of 6596: the share
+    kernel keeps no per-row 3x3 forms or constant curvature copies."""
+    monkeypatch.setattr(convexity_module, "SCAN_THREADS", 2)
+    cfg, sphere = _far_sphere()
+    convexity_scan(cfg, sphere, 1, ScanSampling(grid=(8, 8), random=64))
+    peaks = []
+    for rows in (8192, 16384):
+        monkeypatch.setattr(convexity_module, "SCAN_ROWS", rows)
+        peaks.append(_traced_peak(cfg, sphere, ScanSampling()))
+    assert peaks[1] <= 1.4 * peaks[0]
 
 
 def test_scan_runs_one_jet_pass_per_chunk(monkeypatch):
@@ -402,7 +488,7 @@ def test_scan_runs_one_jet_pass_per_chunk(monkeypatch):
     monkeypatch.setattr("ghconvex.surfaces.phi_jet_batch", forbidden)
     cfg, sphere = _far_sphere()
     # more shares than threads, at up to 4 threads
-    n, sampling = 150 * 150 + 12000, ScanSampling(grid=(150, 150), random=12000)
+    n, sampling = 200 * 200 + 30000, ScanSampling(grid=(200, 200), random=30000)
     rep = convexity_scan(cfg, sphere, 2, sampling)
     assert rep.samples + rep.skipped == n
     shares = [P.shape[0] for P in convexity_module._scan_params(sphere, sampling)]
@@ -443,7 +529,7 @@ def _chunk_index(surface, sampling):
 
 def test_scan_raises_the_earliest_failing_chunk(monkeypatch):
     cfg = make_config(0.0, [((0.0, 0.0, 0.5), 1), ((0.3, 0.0, -0.4), 1)])
-    sphere, sampling = Sphere(3.0), ScanSampling(grid=(200, 200), random=0)
+    sphere, sampling = Sphere(3.0), ScanSampling(grid=(300, 300), random=0)
     monkeypatch.setattr(convexity_module, "SCAN_THREADS", 4)
     index = _chunk_index(sphere, sampling)
     assert len(index) == 8              # four queued behind the first four
@@ -598,13 +684,35 @@ def test_scan_propagates_solver_failure_from_a_worker(monkeypatch):
         convexity_scan(cfg, foci, 1, ScanSampling(grid=(64, 64), random=0))
 
 
-def test_scan_threads_follow_the_affinity_mask(monkeypatch):
+def test_scan_threads_follow_the_affinity_mask(tmp_path, monkeypatch):
+    monkeypatch.setattr(convexity_module, "_CGROUP", str(tmp_path))     # no CPU quota
     monkeypatch.setattr(convexity_module.os, "sched_getaffinity", lambda pid: {3}, raising=False)
     assert convexity_module._usable_cpus() == 1
     # platforms without an affinity call fall back to the host's count
     monkeypatch.delattr(convexity_module.os, "sched_getaffinity")
     monkeypatch.setattr(convexity_module.os, "cpu_count", lambda: 6)
     assert convexity_module._usable_cpus() == 6
+
+
+def test_scan_threads_respect_a_cpu_quota(tmp_path, monkeypatch):
+    monkeypatch.setattr(convexity_module, "_CGROUP", str(tmp_path))
+    assert convexity_module._quota_cpus() is None          # no cgroup files
+    v1 = tmp_path / "cpu"
+    v1.mkdir()
+    (v1 / "cpu.cfs_period_us").write_text("100000\n")
+    for quota, cpus in (("-1", None), ("250000", 3), ("100000", 1), ("20000", 1), ("x", None)):
+        (v1 / "cpu.cfs_quota_us").write_text(quota + "\n")
+        assert convexity_module._quota_cpus() == cpus
+    # cgroup v2 takes precedence where its file exists
+    for line, cpus in (("max 100000", None), ("150000 100000", 2), ("50000 50000", 1), ("", None)):
+        (tmp_path / "cpu.max").write_text(line + "\n")
+        assert convexity_module._quota_cpus() == cpus
+    # the quota caps the affinity mask, never raises it
+    monkeypatch.setattr(convexity_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    (tmp_path / "cpu.max").write_text("150000 100000\n")
+    assert convexity_module._usable_cpus() == 2
+    (tmp_path / "cpu.max").write_text("900000 100000\n")
+    assert convexity_module._usable_cpus() == 4
 
 
 _TRIANGLE = np.array([[2.0 / math.sqrt(3.0), 0.0, 0.0], [-1.0 / math.sqrt(3.0), 1.0, 0.0],
