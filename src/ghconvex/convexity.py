@@ -24,10 +24,13 @@ from .potential import PointConfiguration, jet
 from .surfaces import (
     BarrierSurface,
     Plane,
+    _chart_trig,
+    _check_params,
+    _frame_dots,
     _lifted_entries,
+    _surface_data,
     _sym3,
     chart_domain,
-    surface_data_batch,
 )
 
 __all__ = [
@@ -255,13 +258,30 @@ def _eigensum(upper: tuple, lower: tuple, k: int) -> np.ndarray:
     return lam[0] if k == 1 else lam[0] + lam[1]
 
 
+def _count(value, least: int, what: str) -> int:
+    """value as a Python int >= least: InvalidParams for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParams(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidParams(f"{what} must be >= {least}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ScanSampling:
-    """Sampling plan for convexity_scan: grid dims, extra random count, seed."""
+    """Sampling plan for convexity_scan: grid dims, extra random count, seed, as Python ints."""
 
     grid: tuple[int, int] = (128, 128)
     random: int = 10 ** 4
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        grid = tuple(self.grid) if isinstance(self.grid, (tuple, list)) else ()
+        if len(grid) != 2:
+            raise InvalidParams(f"grid must be two dims, got {self.grid!r}")
+        object.__setattr__(self, "grid", tuple(_count(g, 1, "grid dims") for g in grid))
+        object.__setattr__(self, "random", _count(self.random, 0, "random sample count"))
+        object.__setattr__(self, "seed", _count(self.seed, 0, "seed"))
 
 
 @dataclass(frozen=True)
@@ -297,10 +317,6 @@ def _scan_params(surface: BarrierSurface, sampling: ScanSampling) -> Iterator[np
     shares, at most one per sample."""
     (lo0, hi0), (lo1, hi1) = chart_domain(surface)
     g0, g1 = sampling.grid
-    if g0 < 1 or g1 < 1:
-        raise InvalidParams("grid dims must be >= 1")
-    if sampling.random < 0:
-        raise InvalidParams(f"random sample count must be >= 0, got {sampling.random}")
     # cell midpoints: stays strictly inside open chart boxes
     p0 = lo0 + (hi0 - lo0) * (np.arange(g0) + 0.5) / g0
     p1 = lo1 + (hi1 - lo1) * (np.arange(g1) + 0.5) / g1
@@ -319,26 +335,41 @@ def _scan_params(surface: BarrierSurface, sampling: ScanSampling) -> Iterator[np
         yield np.vstack([np.column_stack([p0[i // g1], p1[i % g1]]), R])
 
 
+# (key, ((P, trig), ...)) of the last scan kept by _chunk_results, read-only;
+# replaced whole, so concurrent scans and forked children read it unlocked
+_plan: tuple = (None, ())
+
+
 def _scan_chunk(
-    config: PointConfiguration, surface: BarrierSurface, k: int, P: np.ndarray, keep_samples: bool
+    config: PointConfiguration, surface: BarrierSurface, k: int, share, keep_samples: bool
 ) -> tuple:
     """One share of convexity_scan: surface data, one order-1 jet pass (its
     nearest-centre distance is the exclusion check), the lift and the
-    eigensum.  Returns (violated, strict, (min, P_i, X_i), samples, skipped,
-    nonfinite, table), nonfinite counting the kept samples whose eigensum is
-    not finite.  Floating-point warnings are off: a sample whose arithmetic
-    leaves the float range shows as a non-finite eigensum, which
-    convexity_scan raises by name."""
+    eigensum.  ``share`` is (P, P's ``_chart_trig``), or [P, None] to check P
+    and make its trig into share[1] here, both read-only.  Returns (violated,
+    strict, (min, P_i, X_i), samples, skipped, nonfinite, table), nonfinite
+    counting the kept samples whose eigensum is not finite.  Floating-point
+    warnings are off: a sample whose arithmetic leaves the float range shows
+    as a non-finite eigensum, which convexity_scan raises by name."""
+    P, trig = share
+    if trig is None:
+        _check_params(surface, P)
+        share[1] = trig = _chart_trig(P)
+        for a in (P, *trig):
+            a.setflags(write=False)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        X, U, V, NU, SFF, _ = surface_data_batch(surface, P)
+        X, frames = _surface_data(surface, P, trig)
         dmin, _, vals, grads, _ = jet(config.mass, config.points, config.multiplicities, X, 1)
         ok = dmin > config.exclusion_radius
         del dmin
+        U, V, NU, SFF, _ = frames()
         skipped = P.shape[0] - int(np.count_nonzero(ok))
         if skipped:
             P, X, U, V, NU, SFF, vals, grads = (a[ok] for a in (P, X, U, V, NU, SFF, vals, grads))
-        entries = _lifted_entries(vals, grads, U, V, NU, SFF)
-        del U, V, NU, SFF, vals, grads
+        dots = _frame_dots(grads, U, V, NU)
+        del U, V, NU, grads
+        entries = _lifted_entries(vals, *dots, SFF)
+        del SFF, vals, dots
         margins = _eigensum(entries, (), k)
         scales = _frobenius(entries)
     big = ~np.isfinite(scales)
@@ -374,13 +405,24 @@ def _chunk_results(
     own copy of the caller's context, so numpy's errstate and any context
     variables apply inside the workers.  When a share raises or the caller
     stops early, the unstarted shares are cancelled and the running ones
-    finish before this returns."""
+    finish before this returns.  The shares and their chart trig come from
+    the memo ``_plan`` when its key matches; otherwise a plan of at most
+    SCAN_THREADS * SCAN_ROWS samples becomes the memo once it has finished."""
+    global _plan
     pool = _scan_pool()
+    key = (chart_domain(surface), sampling.grid, sampling.random, sampling.seed, SCAN_THREADS, SCAN_ROWS)
+    memo = _plan                                        # one read: scans may race
+    hit = memo[0] == key
+    plan = memo[1] if hit else ([P, None] for P in _scan_params(surface, sampling))
+    keep = not hit and sampling.grid[0] * sampling.grid[1] + sampling.random <= SCAN_THREADS * SCAN_ROWS
     pending: deque = deque()
+    kept = []
     try:
-        for P in _scan_params(surface, sampling):
+        for share in plan:
             ctx = contextvars.copy_context()
-            pending.append(pool.submit(ctx.run, _scan_chunk, config, surface, k, P, keep_samples))
+            pending.append(pool.submit(ctx.run, _scan_chunk, config, surface, k, share, keep_samples))
+            if keep:
+                kept.append(share)
             if len(pending) == 2 * SCAN_THREADS:
                 yield pending.popleft().result()
         while pending:
@@ -389,6 +431,8 @@ def _chunk_results(
         for future in pending:
             future.cancel()
         wait(pending)
+    if keep:
+        _plan = (key, tuple(tuple(share) for share in kept))
 
 
 def convexity_scan(

@@ -283,10 +283,9 @@ def _multifoci_solve(surface: MultiFociEllipsoid, D: np.ndarray) -> np.ndarray:
     return t
 
 
-def _multifoci_data(surface: MultiFociEllipsoid, P: np.ndarray):
-    th, pol = P[:, 0], P[:, 1]
-    sp = np.sin(pol)
-    D = np.stack([sp * np.cos(th), sp * np.sin(th), np.cos(pol)], axis=1)
+def _multifoci_data(surface: MultiFociEllipsoid, trig: tuple):
+    st, ct, sp, cp = trig
+    D = np.stack([sp * ct, sp * st, cp], axis=1)
     t = _multifoci_solve(surface, D)
     X = surface.centroid[None, :] + t[:, None] * D
     pts = surface.foci
@@ -296,7 +295,7 @@ def _multifoci_data(surface: MultiFociEllipsoid, P: np.ndarray):
     failing = int(np.count_nonzero(np.abs(dist.sum(axis=1) - L) > MULTIFOCI_RTOL * L))
     if failing:
         raise SolverFailure(
-            f"multi-foci shooting missed |F - L| <= {MULTIFOCI_RTOL:g} L on {failing} of {P.shape[0]} rows"
+            f"multi-foci shooting missed |F - L| <= {MULTIFOCI_RTOL:g} L on {failing} of {D.shape[0]} rows"
         )
     unit = diff / dist[:, :, None]
     gradF = unit.sum(axis=1)
@@ -311,13 +310,18 @@ def _multifoci_data(surface: MultiFociEllipsoid, P: np.ndarray):
     # shape operator w.r.t. inward nu: Hess F / |grad F| on the tangent plane
     sff = T @ (hess / gn[:, None, None]) @ T.transpose(0, 2, 1)
     sff[:, 1, 0] = sff[:, 0, 1]  # exactly symmetric, as the closed-form families
-    return X, T[:, 0], T[:, 1], nu, sff, sff[:, 0, 0] + sff[:, 1, 1]
+    return X, lambda: (T[:, 0], T[:, 1], nu, sff, sff[:, 0, 0] + sff[:, 1, 1])
 
 
 def _constant_curvature(sff: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(SFF, MEAN) of n points with the same 2x2 form sff: read-only views,
     one copy of the data for all rows."""
     return np.broadcast_to(sff, (n, 2, 2)), np.broadcast_to(sff[0, 0] + sff[1, 1], (n,))
+
+
+def _chart_trig(P: np.ndarray) -> tuple:
+    """(sin p0, cos p0, sin p1, cos p1) on P's column views, whose layout fixes the bits."""
+    return np.sin(P[:, 0]), np.cos(P[:, 0]), np.sin(P[:, 1]), np.cos(P[:, 1])
 
 
 def surface_data_batch(surface: BarrierSurface, params: np.ndarray):
@@ -329,56 +333,56 @@ def surface_data_batch(surface: BarrierSurface, params: np.ndarray):
     if P.ndim != 2 or P.shape[1] != 2:
         raise InvalidParams(f"params must have shape (N, 2), got {P.shape}")
     _check_params(surface, P)
+    X, frames = _surface_data(surface, P, _chart_trig(P))
+    return X, *frames()
+
+
+def _surface_data(surface: BarrierSurface, P: np.ndarray, trig: tuple):
+    """(X, frames) of valid chart samples P and their ``_chart_trig``: frames()
+    returns (U, V, NU, SFF, MEAN), which a scan builds after its jet pass."""
     n = P.shape[0]
 
     if isinstance(surface, Sphere):
-        az, pol = P[:, 0], P[:, 1]
-        sa, ca = np.sin(az), np.cos(az)
-        sp, cp = np.sin(pol), np.cos(pol)
+        sa, ca, sp, cp = trig
         er = np.stack([sp * ca, sp * sa, cp], axis=1)
-        X = surface.centre[None, :] + surface.radius * er
-        u = np.stack([-sa, ca, np.zeros(n)], axis=1)          # azimuthal
-        v = np.stack([cp * ca, cp * sa, -sp], axis=1)          # polar
-        nu = -er
-        return X, u, v, nu, *_constant_curvature(np.eye(2) / surface.radius, n)
+        def frames():
+            u = np.stack([-sa, ca, np.zeros(n)], axis=1)          # azimuthal
+            v = np.stack([cp * ca, cp * sa, -sp], axis=1)          # polar
+            return u, v, -er, *_constant_curvature(np.eye(2) / surface.radius, n)
+        return surface.centre[None, :] + surface.radius * er, frames
 
     if isinstance(surface, Cylinder):
-        t, ang = P[:, 0], P[:, 1]
         b1, b2, w = surface._b1, surface._b2, surface.axis_direction
-        ca, sa = np.cos(ang), np.sin(ang)
+        sa, ca = trig[2:]
         rho = ca[:, None] * b1 + sa[:, None] * b2              # outward radial
-        X = surface.axis_point[None, :] + surface.radius * rho + t[:, None] * w
-        u = np.broadcast_to(w, (n, 3)).copy()                   # axial
-        v = -sa[:, None] * b1 + ca[:, None] * b2                # azimuthal
-        nu = -rho
-        return X, u, v, nu, *_constant_curvature(np.diag([0.0, 1.0 / surface.radius]), n)
+        def frames():
+            u = np.broadcast_to(w, (n, 3)).copy()               # axial
+            v = -sa[:, None] * b1 + ca[:, None] * b2            # azimuthal
+            return u, v, -rho, *_constant_curvature(np.diag([0.0, 1.0 / surface.radius]), n)
+        return surface.axis_point[None, :] + surface.radius * rho + P[:, 0, None] * w, frames
 
     if isinstance(surface, Plane):
         s, t = P[:, 0], P[:, 1]
         X = surface.offset * surface.normal[None, :] + s[:, None] * surface._t1 + t[:, None] * surface._t2
-        u = np.broadcast_to(surface._t1, (n, 3)).copy()
-        v = np.broadcast_to(surface._t2, (n, 3)).copy()
-        nu = np.broadcast_to(surface.normal, (n, 3)).copy()
-        return X, u, v, nu, *_constant_curvature(np.zeros((2, 2)), n)
+        u, v, nu = (np.broadcast_to(e, (n, 3)).copy() for e in (surface._t1, surface._t2, surface.normal))
+        return X, lambda: (u, v, nu, *_constant_curvature(np.zeros((2, 2)), n))
 
     if isinstance(surface, TwoFociEllipsoid):
         a, r = surface.a, surface.r
-        al, be = P[:, 0], P[:, 1]
-        sal, cal = np.sin(al), np.cos(al)
-        sb, cb = np.sin(be), np.cos(be)
+        sal, cal, sb, cb = trig
         sh, ch = math.sinh(r), math.cosh(r)
-        X = np.stack([a * sh * sb * cal, a * sh * sb * sal, a * ch * cb], axis=1)
-        A = np.sqrt(ch * ch - cb * cb)
-        u = np.stack([-sal, cal, np.zeros(n)], axis=1)
-        v = np.stack([sh * cb * cal, sh * cb * sal, -ch * sb], axis=1) / A[:, None]
-        nu = -np.stack([ch * sb * cal, ch * sb * sal, sh * cb], axis=1) / A[:, None]
-        sff = np.zeros((n, 2, 2))
-        sff[:, 0, 0] = ch / (a * A * sh)
-        sff[:, 1, 1] = sh * ch / (a * A ** 3)
-        mean = sff[:, 0, 0] + sff[:, 1, 1]
-        return X, u, v, nu, sff, mean
+        def frames():
+            A = np.sqrt(ch * ch - cb * cb)
+            u = np.stack([-sal, cal, np.zeros(n)], axis=1)
+            v = np.stack([sh * cb * cal, sh * cb * sal, -ch * sb], axis=1) / A[:, None]
+            nu = -np.stack([ch * sb * cal, ch * sb * sal, sh * cb], axis=1) / A[:, None]
+            sff = np.zeros((n, 2, 2))
+            sff[:, 0, 0] = ch / (a * A * sh)
+            sff[:, 1, 1] = sh * ch / (a * A ** 3)
+            return u, v, nu, sff, sff[:, 0, 0] + sff[:, 1, 1]
+        return np.stack([a * sh * sb * cal, a * sh * sb * sal, a * ch * cb], axis=1), frames
 
-    return _multifoci_data(surface, P)
+    return _multifoci_data(surface, trig)
 
 
 def surface_point(surface: BarrierSurface, params: Sequence[float]) -> SurfacePointData:
@@ -419,20 +423,22 @@ def lifted_sff_batch(
     passes (phi, grad phi) at X from a pass that already excluded the
     centres."""
     vals, grads = jet if jet is not None else phi_jet_batch(config, X, 1)[:2]
-    return _sym3(_lifted_entries(vals, grads, U, V, NU, SFF))
+    return _sym3(_lifted_entries(vals, *_frame_dots(grads, U, V, NU), SFF))
 
 
-def _lifted_entries(vals, grads, U, V, NU, SFF) -> tuple:
-    """The entries (S_00, S_11, S_22, S_01, S_02, S_12) of the lifted forms
-    as 1-D arrays, from phi and grad phi at the points and their frames;
-    uses <u x grad, nu> = <grad, v> and <v x grad, nu> = -<grad, u> for the
-    right-handed frame.  The bits of the einsum dot products depend on the
+def _frame_dots(grads, U, V, NU) -> tuple:
+    """(<grad, u>, <grad, v>, <grad, nu>) per row.  The bits depend on the
     layout of U, V and NU: callers pass C-contiguous (N, 3) arrays."""
+    return tuple(np.einsum("nj,nj->n", grads, W) for W in (U, V, NU))
+
+
+def _lifted_entries(vals, gu, gv, gn, SFF) -> tuple:
+    """The entries (S_00, S_11, S_22, S_01, S_02, S_12) of the lifted forms
+    as 1-D arrays, from phi at the points and ``_frame_dots`` of grad phi;
+    uses <u x grad, nu> = <grad, v> and <v x grad, nu> = -<grad, u> for the
+    right-handed frame."""
     f = vals ** -0.5
     q = 0.5 / vals
-    gu = np.einsum("nj,nj->n", grads, U)
-    gv = np.einsum("nj,nj->n", grads, V)
-    gn = np.einsum("nj,nj->n", grads, NU)
     return (f * (SFF[:, 0, 0] - q * gn), f * (SFF[:, 1, 1] - q * gn), f * q * gn,
             f * SFF[:, 0, 1], -f * q * gv, f * q * gu)
 

@@ -7,8 +7,10 @@ import math
 import multiprocessing
 import os
 import platform
+import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -22,6 +24,7 @@ import ghconvex.potential as potential_module
 import ghconvex.rootfind as rootfind_module
 
 from ghconvex import (
+    Cylinder,
     InvalidK,
     InvalidParams,
     MultiFociEllipsoid,
@@ -39,7 +42,15 @@ from ghconvex import (
 )
 from ghconvex.convexity import MARGIN_TOL, eigvals3_batch
 from ghconvex.potential import PointConfiguration
-from ghconvex.surfaces import _lifted_entries, _sym3, chart_domain, lifted_sff_batch, surface_data_batch
+from ghconvex.surfaces import (
+    _frame_dots,
+    _lifted_entries,
+    _surface_data,
+    _sym3,
+    chart_domain,
+    lifted_sff_batch,
+    surface_data_batch,
+)
 
 from conftest import grassmannian_minima, random_config, reference_jet, rotation, sylvester_positive
 
@@ -144,7 +155,7 @@ def test_lift_entries_follow_the_formulas_operation_for_operation():
     SFF[-10:] = np.eye(2)                          # a repeated eigenvalue: clustered
     with np.errstate(over="ignore", invalid="ignore"):
         S = lifted_sff_batch(None, None, U, V, NU, SFF, jet=(vals, grads))
-        assert S.tobytes() == _sym3(_lifted_entries(vals, grads, U, V, NU, SFF)).tobytes()
+        assert S.tobytes() == _sym3(_lifted_entries(vals, *_frame_dots(grads, U, V, NU), SFF)).tobytes()
         f, q = vals ** -0.5, 0.5 / vals
         gu, gv, gn = (np.einsum("nj,nj->n", grads, W) for W in (U, V, NU))
         want = [f * (SFF[:, 0, 0] - q * gn), f * (SFF[:, 1, 1] - q * gn), (f * q) * gn,
@@ -354,8 +365,8 @@ def _share_count(n):
 
 
 def _scan_cases():
-    """(config, surface, sampling, skipped) cases; on 3 threads no sample
-    count splits into equal shares."""
+    """(config, surface, sampling, skipped) cases, one per surface family; on
+    3 threads no sample count splits into equal shares."""
     rng = np.random.default_rng(17)
     cfg = random_config(rng, k=5, mass=1.0, box=1.5)
     # a centre exactly on equatorial grid sample (5, 26): that sample is
@@ -373,7 +384,9 @@ def _scan_cases():
     mixed = ScanSampling(grid=(41, 53), random=3000, seed=3)
     below = Plane((0.0, 0.0, 1.0), float(cfg.points[:, 2].max()) + 0.7, span=4.0)
     foci = MultiFociEllipsoid(rng.uniform(-1.0, 1.0, (3, 3)), 6.0)
-    return [(onto, sphere, grid_only, 1), (cfg, below, mixed, 0), (cfg, foci, mixed, 0)]
+    around = Cylinder(3.0, (0.2, -0.1, 0.3), (1.0, 2.0, 2.0), span=4.0)
+    return [(onto, sphere, grid_only, 1), (cfg, below, mixed, 0), (cfg, foci, mixed, 0),
+            (cfg, around, mixed, 0), (cfg, TwoFociEllipsoid(1.0, 2.0), mixed, 0)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -413,8 +426,8 @@ def test_first_of_tied_minima_wins_across_shares():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_scan_tables_do_not_depend_on_the_share_split(k, monkeypatch):
-    """Sphere, plane and multi-foci scans, byte for byte, whatever the share
-    size and thread count."""
+    """Scans of every surface family, byte for byte, whatever the share size
+    and thread count."""
     for cfg, surface, sampling, _ in _scan_cases():
         reports = []
         for rows in (4096, 8192, 16384):
@@ -426,6 +439,151 @@ def test_scan_tables_do_not_depend_on_the_share_split(k, monkeypatch):
                                 rep.argmin_x.tobytes(), rep.min_eigensum, rep.verdict,
                                 rep.samples, rep.skipped))
         assert all(r == reports[0] for r in reports[1:])
+
+
+def _scan_bytes(rep):
+    return (rep.samples_table.tobytes(), rep.argmin_params.tobytes(), rep.argmin_x.tobytes(),
+            rep.min_eigensum, rep.verdict, rep.samples, rep.skipped)
+
+
+def _count_trig(monkeypatch):
+    """Count the scan's _chart_trig calls: one per share built afresh."""
+    calls = []
+    trig = convexity_module._chart_trig
+    monkeypatch.setattr(convexity_module, "_chart_trig", lambda P: calls.append(len(P)) or trig(P))
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_memo_hit_equals_miss_bit_for_bit(k, monkeypatch):
+    """A repeat scan reads its samples and chart trig from the memo, and its
+    table is the first scan's, byte for byte; the surface body fed the
+    memo's trig gives surface_data_batch's bytes.  Every surface family, on
+    1, 2 and 3 threads."""
+    calls = _count_trig(monkeypatch)
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(convexity_module, "SCAN_THREADS", threads)
+        for cfg, surface, sampling, _ in _scan_cases():
+            monkeypatch.setattr(convexity_module, "_plan", (None, ()))
+            del calls[:]
+            miss = convexity_scan(cfg, surface, k, sampling, keep_samples=True)
+            memo = convexity_module._plan
+            assert len(calls) == len(memo[1]) == threads
+            hit = convexity_scan(cfg, surface, k, sampling, keep_samples=True)
+            assert len(calls) == threads and convexity_module._plan is memo
+            assert _scan_bytes(hit) == _scan_bytes(miss)
+            for P, trig in memo[1]:
+                X, frames = _surface_data(surface, P, trig)
+                for got, want in zip((X, *frames()), surface_data_batch(surface, P), strict=True):
+                    assert got.tobytes() == want.tobytes()
+
+
+def test_memo_is_bounded_and_keyed(monkeypatch):
+    """The memo keeps the last plan of at most SCAN_THREADS * SCAN_ROWS
+    samples, read-only, and never a longer one; its key is the chart
+    domain, the sampling, SCAN_THREADS and SCAN_ROWS."""
+    calls = _count_trig(monkeypatch)
+    monkeypatch.setattr(convexity_module, "SCAN_THREADS", 2)
+    monkeypatch.setattr(convexity_module, "SCAN_ROWS", 1000)
+    cfg = make_config(0.0, [((0.3, 0.0, 0.1), 1), ((-0.2, 0.4, 0.0), 1)])
+
+    def scan(surface, sampling):
+        """'hit', 'kept' (a miss now in the memo) or 'streamed'."""
+        del calls[:]
+        memo = convexity_module._plan
+        convexity_scan(cfg, surface, 1, sampling)
+        now = convexity_module._plan
+        rows = [P.shape[0] for P, _ in now[1]]
+        assert sum(rows) <= convexity_module.SCAN_THREADS * convexity_module.SCAN_ROWS
+        assert not any(a.flags.writeable for P, trig in now[1] for a in (P, *trig))
+        if not calls:
+            return "hit"
+        return "streamed" if now is memo else "kept"
+
+    full = ScanSampling(grid=(30, 50), random=500)              # 2 * 1000 samples
+    assert scan(Sphere(3.0), full) == "kept"
+    assert scan(Sphere(3.0), full) == "hit"
+    # another surface with the same chart box reads the same samples
+    assert scan(TwoFociEllipsoid(1.0, 2.0), full) == "hit"
+    assert scan(Sphere(4.0), ScanSampling(grid=(30, 50), random=501)) == "streamed"
+    assert sorted(calls) == [500, 500, 500, 501]        # four shares, none held
+    assert scan(Sphere(3.0), full) == "hit"
+    assert scan(Sphere(3.0), ScanSampling(grid=(30, 50), random=500, seed=1)) == "kept"
+    assert scan(Sphere(3.0), full) == "kept"
+    # each change below is the only one since the plan was kept
+    monkeypatch.setattr(convexity_module, "SCAN_ROWS", 2000)
+    assert scan(Sphere(3.0), full) == "kept"
+    monkeypatch.setattr(convexity_module, "SCAN_THREADS", 3)
+    assert scan(Sphere(3.0), full) == "kept"
+    assert scan(Cylinder(3.0, span=4.0), full) == "kept"
+    assert scan(Cylinder(2.0, span=4.0), full) == "hit"
+    assert scan(Cylinder(3.0, span=5.0), full) == "kept"
+
+
+def test_concurrent_scans_match_serial_scans():
+    """Two user threads scanning every case at once, in opposite orders, so
+    that hits, misses and memo replacements race, get the serial reports."""
+    cases = _scan_cases()
+    serial = [_scan_bytes(convexity_scan(cfg, s, 2, smp, keep_samples=True)) for cfg, s, smp, _ in cases]
+    order = list(range(len(cases))) * 3
+    results = [[], []]
+
+    def run(out, indices):
+        for i in indices:
+            cfg, surface, sampling, _ = cases[i]
+            out.append((i, _scan_bytes(convexity_scan(cfg, surface, 2, sampling, keep_samples=True))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        users = [threading.Thread(target=run, args=(results[0], order)),
+                 threading.Thread(target=run, args=(results[1], order[::-1]))]
+        for user in users:
+            user.start()
+        for user in users:
+            user.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(user.is_alive() for user in users)
+    assert [len(out) for out in results] == [len(order)] * 2
+    for i, got in results[0] + results[1]:
+        assert got == serial[i]
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"grid": (8,)}, "grid must be two dims, got (8,)"),
+        ({"grid": (8, 8, 8)}, "grid must be two dims, got (8, 8, 8)"),
+        ({"grid": 8}, "grid must be two dims, got 8"),
+        ({"grid": "88"}, "grid must be two dims, got '88'"),
+        ({"grid": (8.0, 8)}, "grid dims must be an integer, got 8.0"),
+        ({"grid": (8, np.float64(8))}, "grid dims must be an integer, got np.float64(8.0)"),
+        ({"grid": (True, 8)}, "grid dims must be an integer, got True"),
+        ({"grid": (8, np.bool_(True))}, "grid dims must be an integer, got np.True_"),
+        ({"grid": (0, 8)}, "grid dims must be >= 1"),
+        ({"random": -5}, "random sample count must be >= 0, got -5"),
+        ({"random": 1.5}, "random sample count must be an integer, got 1.5"),
+        ({"random": False}, "random sample count must be an integer, got False"),
+        ({"random": "100"}, "random sample count must be an integer, got '100'"),
+    ],
+)
+def test_scan_sampling_rejects_hostile_fields(fields, message):
+    with pytest.raises(InvalidParams, match=re.escape(message)):
+        ScanSampling(**fields)
+
+
+def test_scan_sampling_fields_are_plain_ints():
+    """Numpy integers and a list grid normalise to Python ints and a tuple,
+    so that equal plans are equal, hashable memo keys."""
+    sampling = ScanSampling(grid=[np.int64(8), 9], random=np.int32(5), seed=np.uint8(3))
+    assert sampling == ScanSampling((8, 9), 5, 3) and hash(sampling) == hash(ScanSampling((8, 9), 5, 3))
+    assert type(sampling.grid) is tuple
+    assert all(type(v) is int for v in (*sampling.grid, sampling.random, sampling.seed))
 
 
 def _far_sphere(k=50):
@@ -533,10 +691,10 @@ def test_scan_raises_the_earliest_failing_chunk(monkeypatch):
     monkeypatch.setattr(convexity_module, "SCAN_THREADS", 4)
     index = _chunk_index(sphere, sampling)
     assert len(index) == 8              # four queued behind the first four
-    original = convexity_module.surface_data_batch
+    original = convexity_module._surface_data
     finished = []
 
-    def failing(surface, P):
+    def failing(surface, P, trig):
         i = index[tuple(P[0])]
         try:
             if i == 1:
@@ -546,11 +704,11 @@ def test_scan_raises_the_earliest_failing_chunk(monkeypatch):
                 raise SolverFailure("chunk 3")
             if i >= 4:
                 time.sleep(0.05)        # still queued or running at the failure
-            return original(surface, P)
+            return original(surface, P, trig)
         finally:
             finished.append(i)
 
-    monkeypatch.setattr(convexity_module, "surface_data_batch", failing)
+    monkeypatch.setattr(convexity_module, "_surface_data", failing)
     pools = []
     for _ in range(2):
         with pytest.raises(SolverFailure, match="chunk 1"):
@@ -657,13 +815,13 @@ def test_warm_scans_fault_in_no_pages():
 def test_scan_chunks_run_in_the_callers_context(monkeypatch):
     var = contextvars.ContextVar("scan_test_var", default="unset")
     seen = []
-    original = convexity_module.surface_data_batch
+    original = convexity_module._surface_data
 
-    def recording(surface, P):
+    def recording(surface, P, trig):
         seen.append((var.get(), np.geterr()["under"]))
-        return original(surface, P)
+        return original(surface, P, trig)
 
-    monkeypatch.setattr(convexity_module, "surface_data_batch", recording)
+    monkeypatch.setattr(convexity_module, "_surface_data", recording)
     cfg, sphere = _far_sphere()
     sampling = ScanSampling(grid=(40, 40), random=3000)
     token = var.set("caller")
