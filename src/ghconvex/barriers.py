@@ -96,13 +96,18 @@ def _axis_frame(axis) -> tuple[np.ndarray, np.ndarray]:
     return _vec3(point, "axis point"), _unit(direction, "axis direction")
 
 
+def _radial(xs: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
+    """(xs - q, its part normal to the axis (q, w)) per row."""
+    q, w = _axis_frame(axis)
+    rel = xs - q
+    return rel, rel - np.einsum("nj,j->n", rel, w)[:, None] * w
+
+
 def cylinder_hyp_margin_batch(config: PointConfiguration, xs, axis=((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))) -> np.ndarray:
     """<grad phi, nu_out> + 2 phi / r per row, r the distance from x to the
     axis and nu_out the outward radial unit vector."""
     xs = _as_points(xs)
-    q, w = _axis_frame(axis)
-    rel = xs - q
-    rho = rel - np.einsum("nj,j->n", rel, w)[:, None] * w
+    rel, rho = _radial(xs, axis)
     r = np.linalg.norm(rho, axis=1)
     if np.any(r <= 1e-12 * (1.0 + np.linalg.norm(rel, axis=1))):
         raise OnAxis("point lies on the cylinder axis")
@@ -135,9 +140,7 @@ def sphere_codim2_margins_batch(config: PointConfiguration, xs) -> tuple[np.ndar
     return minor1, det_aux
 
 
-def ellipsoid_inequalities(
-    a: float, m: float, extra_centres: Sequence, r, beta
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def ellipsoid_inequalities(a: float, m: float, r, beta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form convexity scalars (E1, E2, E4) of the two-foci ellipsoid.
 
     Foci (0, 0, +-a), potential m + sum_pm 1/(2|x - p_pm|).  The lifted form
@@ -152,8 +155,6 @@ def ellipsoid_inequalities(
     beta in {0, pi} where the chart frame itself degenerates.  Accepts
     scalar or array r/beta (broadcast together).
     """
-    if len(list(extra_centres)) != 0:
-        raise InvalidParams("two-foci form requires extra_centres to be empty")
     if not (np.isfinite(a) and a > 0):
         raise InvalidParams(f"a must be > 0, got {a}")
     if not (np.isfinite(m) and m >= 0):
@@ -222,10 +223,7 @@ def cylinder_threshold(config: PointConfiguration, axis=((0.0, 0.0, 0.0), (0.0, 
     """2 max r_i, r_i the axial distances of the centres."""
     if config.k == 0:
         return 0.0
-    q, w = _axis_frame(axis)
-    rel = config.points - q
-    rho = rel - np.einsum("nj,j->n", rel, w)[:, None] * w
-    return 2.0 * float(np.linalg.norm(rho, axis=1).max())
+    return 2.0 * float(np.linalg.norm(_radial(config.points, axis)[1], axis=1).max())
 
 
 def codim2_threshold(config: PointConfiguration) -> float:
@@ -243,19 +241,24 @@ def _directions(n: int, seed: int) -> np.ndarray:
     return d[good] / norms[good, None]
 
 
+def _sweep(params: Sequence[float], points, margin, thr: float) -> list[MarginCurve]:
+    """The worst margin(points(s)) per parameter s, and where."""
+    out = []
+    for s in params:
+        xs = points(float(s))
+        m = margin(xs)
+        i = int(np.argmin(m))
+        out.append(MarginCurve(float(s), float(m[i]), thr, xs[i].copy()))
+    return out
+
+
 def sphere_margin_curve(
     config: PointConfiguration, radii: Sequence[float], n_dirs: int = 512, seed: int = 0
 ) -> list[MarginCurve]:
     """Worst sphere_hyp_margin_batch over n_dirs random directions, per radius."""
-    thr = sphere_threshold(config)
     dirs = _directions(n_dirs, seed)
-    out = []
-    for r in radii:
-        xs = float(r) * dirs
-        m = sphere_hyp_margin_batch(config, xs)
-        i = int(np.argmin(m))
-        out.append(MarginCurve(float(r), float(m[i]), thr, xs[i].copy()))
-    return out
+    return _sweep(radii, lambda r: r * dirs, lambda xs: sphere_hyp_margin_batch(config, xs),
+                  sphere_threshold(config))
 
 
 def cylinder_margin_curve(
@@ -263,26 +266,20 @@ def cylinder_margin_curve(
     radii: Sequence[float],
     axis=((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
     n_samples: int = 512,
-    span: Optional[float] = None,
     seed: int = 0,
 ) -> list[MarginCurve]:
-    """Worst cylinder margin over random (angle, axial offset) samples."""
+    """Worst cylinder margin over random (angle, axial offset) samples, the
+    offsets within 2 (1 + diameter) of the axis point."""
     q, w = _axis_frame(axis)
     thr = cylinder_threshold(config, axis)
-    if span is None:
-        span = 2.0 * (1.0 + config.diameter)
+    span = 2.0 * (1.0 + config.diameter)
     b1, b2 = _orthobasis(w)
     rng = np.random.default_rng(seed)
     ang = rng.uniform(0.0, 2.0 * math.pi, n_samples)
     ts = rng.uniform(-span, span, n_samples)
     rad = np.cos(ang)[:, None] * b1 + np.sin(ang)[:, None] * b2
-    out = []
-    for r in radii:
-        xs = q + float(r) * rad + ts[:, None] * w
-        m = cylinder_hyp_margin_batch(config, xs, (q, w))
-        i = int(np.argmin(m))
-        out.append(MarginCurve(float(r), float(m[i]), thr, xs[i].copy()))
-    return out
+    return _sweep(radii, lambda r: q + r * rad + ts[:, None] * w,
+                  lambda xs: cylinder_hyp_margin_batch(config, xs, (q, w)), thr)
 
 
 def plane_margin_curve(
@@ -290,10 +287,9 @@ def plane_margin_curve(
     direction: Sequence[float],
     offsets: Sequence[float],
     n_samples: int = 512,
-    span: float = 10.0,
     seed: int = 0,
 ) -> list[MarginCurve]:
-    """Worst plane margin over random in-plane samples, per offset.
+    """Worst plane margin over random in-plane samples in [-10, 10]^2, per offset.
 
     The threshold is max_i <p_i, direction>: planes beyond it have all
     centres strictly on the other side.
@@ -301,15 +297,9 @@ def plane_margin_curve(
     d = _unit(direction, "plane direction")
     thr = float((config.points @ d).max()) if config.k else 0.0
     t1, t2 = _orthobasis(d)
-    rng = np.random.default_rng(seed)
-    st = rng.uniform(-span, span, (n_samples, 2))
-    out = []
-    for off in offsets:
-        xs = float(off) * d + st[:, :1] * t1 + st[:, 1:] * t2
-        m = plane_hyp_margin_batch(config, xs, d)
-        i = int(np.argmin(m))
-        out.append(MarginCurve(float(off), float(m[i]), thr, xs[i].copy()))
-    return out
+    st = np.random.default_rng(seed).uniform(-10.0, 10.0, (n_samples, 2))
+    return _sweep(offsets, lambda off: off * d + st[:, :1] * t1 + st[:, 1:] * t2,
+                  lambda xs: plane_hyp_margin_batch(config, xs, d), thr)
 
 
 def codim2_margin_curve(

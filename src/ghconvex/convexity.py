@@ -146,12 +146,11 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _eigvals3(upper: tuple, lower: tuple = (), top: bool = False) -> tuple:
+def _eigvals3(upper: tuple, top: bool = False) -> tuple:
     """Ascending eigenvalues of symmetric 3x3 rows from their upper entries
     (a00, a11, a22, a01, a02, a12), 1-D arrays: the smallest, or with top
-    all three, as a tuple of arrays.  ``lower`` holds (a10, a20, a21) when
-    they are not the mirror of the upper ones; the diagonal test's scale
-    reads them and LAPACK gets the full rows.
+    all three, as a tuple of arrays.  Every route reads only these entries,
+    so a row's lower triangle counts as the mirror of its upper one.
 
     Trigonometric closed form: mean q, spread p and angle phi, so the
     eigenvalues are q + 2p cos(phi + 2j pi/3).  Rows with all eigenvalues q
@@ -166,7 +165,7 @@ def _eigvals3(upper: tuple, lower: tuple = (), top: bool = False) -> tuple:
     # max |a_ij| as a running elementwise maximum: the same bits as numpy's
     # reduction over the two tiny axes, at a fifth of its time
     scale = np.abs(a00)
-    for e in (a01, a02, a11, a12, a22, *lower):
+    for e in (a01, a02, a11, a12, a22):
         np.maximum(scale, np.abs(e), out=scale)
     diag_like = p <= 1e-14 * np.maximum(1e-300, scale, out=scale)
     safe_p = np.where(p > 0.0, p, 1.0)
@@ -195,32 +194,22 @@ def _eigvals3(upper: tuple, lower: tuple = (), top: bool = False) -> tuple:
     for e in lam:
         e[diag_like] = q[diag_like]
     if clustered.any():
-        S = _sym3([a[clustered] for a in upper])
-        if lower:
-            S[:, 1, 0], S[:, 2, 0], S[:, 2, 1] = (a[clustered] for a in lower)
-        exact = np.linalg.eigvalsh(S)
+        exact = np.linalg.eigvalsh(_sym3([a[clustered] for a in upper]))
         for j, e in enumerate(lam):
             e[clustered] = exact[:, j]
     return lam
 
 
 def _entries(S: np.ndarray) -> tuple:
-    """(upper, lower) entries of (N, 3, 3) rows, as ``_eigvals3`` reads them."""
-    upper = S[:, 0, 0], S[:, 1, 1], S[:, 2, 2], S[:, 0, 1], S[:, 0, 2], S[:, 1, 2]
-    return upper, (S[:, 1, 0], S[:, 2, 0], S[:, 2, 1])
+    """Upper entries of (N, 3, 3) rows, as ``_eigvals3`` reads them."""
+    return S[:, 0, 0], S[:, 1, 1], S[:, 2, 2], S[:, 0, 1], S[:, 0, 2], S[:, 1, 2]
 
 
 def eigvals3_batch(S: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of symmetric (N, 3, 3) input, shape (N, 3):
-    the closed form of ``_eigvals3``, LAPACK on its clustered rows."""
+    """Ascending eigenvalues of symmetric (N, 3, 3) input from its upper
+    triangle, shape (N, 3): ``_eigvals3``'s closed form, LAPACK on clustered rows."""
     S = np.asarray(S, dtype=float)
-    return np.stack(_eigvals3(*_entries(S), top=True), axis=1)
-
-
-def _smallest_eigvals3(S: np.ndarray) -> np.ndarray:
-    """eigvals3_batch(S)[:, 0] of (N, 3, 3) input, bit for bit, without
-    computing the other two eigenvalues."""
-    return _eigvals3(*_entries(S))[0]
+    return np.stack(_eigvals3(_entries(S), top=True), axis=1)
 
 
 def _frobenius(entries: tuple) -> np.ndarray:
@@ -236,7 +225,7 @@ def k_smallest_eigensum(S: np.ndarray, k: int) -> float:
     """Sum of the k smallest eigenvalues of a symmetric 3x3 matrix.
 
     k = 3 returns the trace directly (exact identity), so comparisons with
-    trace-based oracles carry no eigenvalue round-off.
+    trace-based oracles carry no eigenvalue round-off.  Reads the upper triangle.
     """
     S = np.asarray(S, dtype=float)
     if S.shape != (3, 3):
@@ -247,14 +236,14 @@ def k_smallest_eigensum(S: np.ndarray, k: int) -> float:
         raise NotSymmetric("matrix is not symmetric within 1e-12")
     if k not in (1, 2, 3):
         raise InvalidK(f"k must be 1, 2 or 3, got {k}")
-    return float(_eigensum(*_entries(S[None]), k)[0])
+    return float(_eigensum(_entries(S[None]), k)[0])
 
 
-def _eigensum(upper: tuple, lower: tuple, k: int) -> np.ndarray:
-    """k_smallest_eigensum of each row given by its entries, as ``_eigvals3``."""
+def _eigensum(upper: tuple, k: int) -> np.ndarray:
+    """k_smallest_eigensum of each row given by its upper entries, as ``_eigvals3``."""
     if k == 3:
         return upper[0] + upper[1] + upper[2]
-    lam = _eigvals3(upper, lower, top=k == 2)
+    lam = _eigvals3(upper, top=k == 2)
     return lam[0] if k == 1 else lam[0] + lam[1]
 
 
@@ -370,7 +359,7 @@ def _scan_chunk(
         del U, V, NU, grads
         entries = _lifted_entries(vals, *dots, SFF)
         del SFF, vals, dots
-        margins = _eigensum(entries, (), k)
+        margins = _eigensum(entries, k)
         scales = _frobenius(entries)
     big = ~np.isfinite(scales)
     if big.any():

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .convexity import eigvals3_batch
-from .errors import InvalidIndex, InvalidParams
+from .convexity import _count, eigvals3_batch
+from .errors import InvalidIndex
 from .potential import PointConfiguration, jet
 
 __all__ = [
@@ -37,12 +37,17 @@ CLUSTER_SCALE = 1e-3   # representatives closer than this are flagged non-isolat
 
 @dataclass(frozen=True)
 class SeedStrategy:
-    """Newton seeding plan: structural seeds plus random hull samples."""
+    """Newton seeding plan: structural seeds plus random hull samples, their
+    count and seed as Python ints."""
 
     midpoints: bool = True
     centroids: bool = True
     random: int = 1000
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "random", _count(self.random, 0, "random seed count"))
+        object.__setattr__(self, "seed", _count(self.seed, 0, "seed"))
 
 
 @dataclass(frozen=True)
@@ -199,8 +204,6 @@ def find_critical_points(
     silently; reported points satisfy |grad phi| <= 1e-10 * scale.  Output
     is sorted lexicographically by coordinates for determinism.
     """
-    if seeds.random < 0:
-        raise InvalidParams(f"random seed count must be >= 0, got {seeds.random}")
     k = config.k
     if k <= 1:
         return []

@@ -82,15 +82,11 @@ class SegmentSurface:
         others = [l for l in range(k) if l not in (self.i, self.j)]
         sat = (self.config.points[others] - mid) @ R.T
         sat_mult = mults[list(others)]
-        if sat.shape[0]:
-            rad = np.hypot(sat[:, 0], sat[:, 1])
-            axial = np.clip(np.abs(sat[:, 2]), a, None) - a
-            seg_dist = np.where(np.abs(sat[:, 2]) <= a, rad, np.hypot(rad, axial))
-            if float(seg_dist.min()) <= 1e-9 * a:
-                raise InvalidParams("another centre lies on the connecting segment")
-            object.__setattr__(self, "_seg_dist", seg_dist)
-        else:
-            object.__setattr__(self, "_seg_dist", np.zeros(0))
+        rad = np.hypot(sat[:, 0], sat[:, 1])
+        axial = np.clip(np.abs(sat[:, 2]), a, None) - a
+        seg_dist = np.where(np.abs(sat[:, 2]) <= a, rad, np.hypot(rad, axial))
+        if np.any(seg_dist <= 1e-9 * a):
+            raise InvalidParams("another centre lies on the connecting segment")
         full = (self.config.points - mid) @ R.T
         for name, val in (
             ("a", a),
@@ -99,6 +95,7 @@ class SegmentSurface:
             ("satellites", sat),
             ("satellite_multiplicities", sat_mult),
             ("rotated_points", full),
+            ("_seg_dist", seg_dist),
         ):
             if isinstance(val, np.ndarray):
                 val = val.copy()

@@ -194,6 +194,9 @@ class MultiFociEllipsoid:
 
 BarrierSurface = Union[Sphere, Cylinder, Plane, TwoFociEllipsoid, MultiFociEllipsoid]
 
+# families charted by (azimuth, polar angle), open at the poles
+_POLAR = (Sphere, TwoFociEllipsoid, MultiFociEllipsoid)
+
 
 @dataclass(frozen=True)
 class SurfacePointData:
@@ -226,16 +229,12 @@ def chart_domain(surface: BarrierSurface) -> tuple[tuple[float, float], tuple[fl
     Open at polar-angle endpoints (coordinate degeneracy, not a surface
     feature); scans sample strictly inside.
     """
-    if isinstance(surface, Sphere):
+    if isinstance(surface, _POLAR):
         return ((0.0, TWO_PI), (0.0, math.pi))
     if isinstance(surface, Cylinder):
         return ((-surface.span, surface.span), (0.0, TWO_PI))
     if isinstance(surface, Plane):
         return ((-surface.span, surface.span), (-surface.span, surface.span))
-    if isinstance(surface, TwoFociEllipsoid):
-        return ((0.0, TWO_PI), (0.0, math.pi))
-    if isinstance(surface, MultiFociEllipsoid):
-        return ((0.0, TWO_PI), (0.0, math.pi))
     raise InvalidParams(f"unknown surface family {type(surface).__name__}")
 
 
@@ -246,8 +245,7 @@ def _check_params(surface: BarrierSurface, P: np.ndarray) -> None:
         raise ChartDomainError("chart parameters must be finite")
     if np.any(p0 < lo0) or np.any(p0 > hi0) or np.any(p1 < lo1) or np.any(p1 > hi1):
         raise ChartDomainError("chart parameters outside domain box")
-    open_polar = isinstance(surface, (Sphere, TwoFociEllipsoid, MultiFociEllipsoid))
-    if open_polar and (np.any(p1 <= 0.0) or np.any(p1 >= math.pi)):
+    if isinstance(surface, _POLAR) and (np.any(p1 <= 0.0) or np.any(p1 >= math.pi)):
         raise ChartDomainError("polar angle must lie strictly inside (0, pi)")
 
 

@@ -192,7 +192,7 @@ def test_codim2_pattern_matches_sylvester():
 # --- ellipsoid inequalities -------------------------------------------------
 
 def test_ellipsoid_hand_value():
-    E1, _, _ = ellipsoid_inequalities(1.0, 0.0, [], 1.0, np.pi / 2)
+    E1, _, _ = ellipsoid_inequalities(1.0, 0.0, 1.0, np.pi / 2)
     c, s = np.cosh(1.0), np.sinh(1.0)
     assert float(E1) == pytest.approx((c * c + 1.0) / (c ** 3 * s), rel=1e-14)
     assert float(E1) == pytest.approx(0.7830322548625208, abs=1e-15)
@@ -213,7 +213,7 @@ def test_ellipsoid_matches_lifted_sff_minors():
             S = lifted_sff(cfg, d).matrix
             phi = phi_jet(cfg, d.x).value
             fq = phi ** -0.5 / (2.0 * phi)
-            E1, E2, E4 = (float(v) for v in ellipsoid_inequalities(a, m, [], r, beta))
+            E1, E2, E4 = (float(v) for v in ellipsoid_inequalities(a, m, r, beta))
             assert S[0, 0] == pytest.approx(fq * E1, rel=1e-9)
             m2 = np.linalg.det(S[:2, :2])
             assert m2 == pytest.approx(fq ** 2 * E1 * E2, rel=1e-9)
@@ -226,22 +226,20 @@ def test_ellipsoid_positive_on_grid():
     beta = np.linspace(0.0, np.pi, 64)  # poles included: closed form holds there
     R, B = np.meshgrid(r, beta, indexing="ij")
     for m in (0.0, 1.0, 3.0):
-        E1, E2, E4 = ellipsoid_inequalities(1.0, m, [], R, B)
+        E1, E2, E4 = ellipsoid_inequalities(1.0, m, R, B)
         assert np.all(np.isfinite(E1)) and np.all(np.isfinite(E2))
         assert E1.min() > 0 and E2.min() > 0 and E4.min() > 0
 
 
 def test_ellipsoid_rejects_bad_arguments():
     with pytest.raises(InvalidParams):
-        ellipsoid_inequalities(1.0, 0.0, [((0, 2, 0), 1)], 1.0, 0.5)
+        ellipsoid_inequalities(-1.0, 0.0, 1.0, 0.5)
     with pytest.raises(InvalidParams):
-        ellipsoid_inequalities(-1.0, 0.0, [], 1.0, 0.5)
+        ellipsoid_inequalities(1.0, -0.5, 1.0, 0.5)
     with pytest.raises(InvalidParams):
-        ellipsoid_inequalities(1.0, -0.5, [], 1.0, 0.5)
+        ellipsoid_inequalities(1.0, 0.0, -0.3, 0.5)
     with pytest.raises(InvalidParams):
-        ellipsoid_inequalities(1.0, 0.0, [], -0.3, 0.5)
-    with pytest.raises(InvalidParams):
-        ellipsoid_inequalities(1.0, 0.0, [], 1.0, 3.5)
+        ellipsoid_inequalities(1.0, 0.0, 1.0, 3.5)
 
 
 # --- margin curves -----------------------------------------------------------

@@ -106,7 +106,7 @@ def test_smallest_eigenvalue_is_the_closed_forms_first():
         Q @ np.diag([1.0, 1.0 + 1e-9, -2.0]) @ np.swapaxes(Q, 1, 2),
         np.eye(3) * rng.standard_normal((300, 1, 1)),
     ])
-    got = convexity_module._smallest_eigvals3(S)
+    got = convexity_module._eigvals3(convexity_module._entries(S))[0]
     assert got.tobytes() == eigvals3_batch(S)[:, 0].tobytes()
 
 
@@ -138,6 +138,26 @@ def test_entry_routes_match_the_matrix_routes_bit_for_bit():
         assert np.isinf(frobenius[-20:]).all()
         smallest = convexity_module._eigvals3(entries)[0]
         assert smallest.tobytes() == eigvals3_batch(S)[:, 0].tobytes()
+
+
+def test_eigenvalue_routes_read_the_upper_triangle():
+    """Rows whose lower triangle carries a 1e-13 asymmetry give the bytes of
+    the mirror of their upper triangle, on the closed form's generic rows and
+    on the clustered rows it sends to LAPACK alike."""
+    rng = np.random.default_rng(13)
+    Q, R = np.linalg.qr(rng.standard_normal((200, 3, 3)))
+    Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+    S = np.concatenate([
+        random_symmetric(rng, 200),
+        Q @ np.diag([1.0, 1.0 + 1e-9, -2.0]) @ np.swapaxes(Q, 1, 2),
+    ])
+    upper = np.triu(S) + np.swapaxes(np.triu(S, 1), 1, 2)
+    S = upper + 1e-13 * np.tril(rng.standard_normal((400, 3, 3)), -1)
+    for rows in (slice(0, 200), slice(200, 400)):
+        assert eigvals3_batch(S[rows]).tobytes() == eigvals3_batch(upper[rows]).tobytes()
+        for k in (1, 2, 3):
+            got = [k_smallest_eigensum(row, k) for row in S[rows]]
+            assert got == [k_smallest_eigensum(row, k) for row in upper[rows]]
 
 
 def test_lift_entries_follow_the_formulas_operation_for_operation():
@@ -194,7 +214,7 @@ def test_diagonal_test_reads_every_entry_of_the_scale():
     q, p = spread(S)
     assert 1e-14 < p <= 1e-14 * a22
     assert eigvals3_batch(S[None])[0].tolist() == [q, q, q]
-    assert convexity_module._smallest_eigvals3(S[None])[0] == q
+    assert convexity_module._eigvals3(convexity_module._entries(S[None]))[0][0] == q
 
 
 def test_eigensum_definitions():

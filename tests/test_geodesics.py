@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import re
 import struct
 
 import numpy as np
@@ -173,6 +174,28 @@ def test_negative_random_seed_count_is_invalid():
     cfg = make_config(0.0, [((0, 0, 1.0), 1), ((0, 0, -1.0), 1)])
     with pytest.raises(InvalidParams, match="random seed count must be >= 0, got -3"):
         find_critical_points(cfg, SeedStrategy(random=-3))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"random": 2.5}, "random seed count must be an integer, got 2.5"),
+        ({"random": True}, "random seed count must be an integer, got True"),
+        ({"random": "10"}, "random seed count must be an integer, got '10'"),
+    ],
+)
+def test_seed_strategy_rejects_hostile_fields(fields, message):
+    with pytest.raises(InvalidParams, match=re.escape(message)):
+        SeedStrategy(**fields)
+
+
+def test_seed_strategy_fields_are_plain_ints():
+    strategy = SeedStrategy(random=np.int32(5), seed=np.uint8(3))
+    assert strategy == SeedStrategy(random=5, seed=3)
+    assert type(strategy.random) is int and type(strategy.seed) is int
 
 
 def test_critical_point_serialization():
