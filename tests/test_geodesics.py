@@ -86,14 +86,30 @@ FINDER_CASES = {
 }
 
 
+def _digest(h, points):
+    for p in points:
+        h.update(p.x.tobytes())
+        h.update(struct.pack("<dd??3i", p.residual, p.length, p.in_hull, p.isolated, *p.hessian_signature))
+
+
 @pytest.mark.parametrize("name", sorted(FINDER_CASES))
 def test_critical_points_bits_are_pinned(name):
     make, want = FINDER_CASES[name]
     h = hashlib.sha256()
-    for p in find_critical_points(make()):
-        h.update(p.x.tobytes())
-        h.update(struct.pack("<dd??3i", p.residual, p.length, p.in_hull, p.isolated, *p.hessian_signature))
+    _digest(h, find_critical_points(make()))
     assert h.hexdigest() == want
+
+
+def test_generic_corpus_bits_are_pinned():
+    # 24 seeded generic configurations, k = 2..9, mixed masses and
+    # multiplicities, hashed as FINDER_CASES; captured before the finder
+    # merged and flagged its points in one pass, which keeps these bits
+    rng = np.random.default_rng(2024)
+    h = hashlib.sha256()
+    for _ in range(24):
+        cfg = random_config(rng, k=int(rng.integers(2, 10)), max_mult=3)
+        _digest(h, find_critical_points(cfg))
+    assert h.hexdigest() == "c461e0c9b87c7a849c6bc6faa41c691927b876e72e35f2d1659c2af9d1140c1c"
 
 
 @pytest.mark.parametrize("name", ["random6-m0", "random6-m1-mult"])
