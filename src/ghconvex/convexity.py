@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import InvalidK, InvalidParams, NonFiniteEigensum, NotSymmetric, TooFewSamples
-from .potential import PointConfiguration, jet
+from .potential import PointConfiguration, _count, jet
 from .surfaces import (
     BarrierSurface,
     Plane,
@@ -232,8 +232,8 @@ def k_smallest_eigensum(S: np.ndarray, k: int) -> float:
         raise InvalidParams(f"matrix must be 3x3, got {S.shape}")
     if not np.all(np.isfinite(S)):
         raise InvalidParams("matrix must be finite")
-    if float(np.abs(S - S.T).max()) > 1e-12 * max(1.0, float(np.abs(S).max())):
-        raise NotSymmetric("matrix is not symmetric within 1e-12")
+    if float(np.abs(S - S.T).max()) > 1e-12 * float(np.abs(S).max()):
+        raise NotSymmetric("matrix is not symmetric within 1e-12 of its largest entry")
     if k not in (1, 2, 3):
         raise InvalidK(f"k must be 1, 2 or 3, got {k}")
     return float(_eigensum(_entries(S[None]), k)[0])
@@ -245,15 +245,6 @@ def _eigensum(upper: tuple, k: int) -> np.ndarray:
         return upper[0] + upper[1] + upper[2]
     lam = _eigvals3(upper, top=k == 2)
     return lam[0] if k == 1 else lam[0] + lam[1]
-
-
-def _count(value, least: int, what: str) -> int:
-    """value as a Python int >= least: InvalidParams for anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidParams(f"{what} must be an integer, got {value!r}")
-    if value < least:
-        raise InvalidParams(f"{what} must be >= {least}, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ A critical point p of phi (necessarily a saddle: phi is harmonic, so its
 Hessian is traceless) carries a closed geodesic of length 2 pi / sqrt(phi(p))
 in the total space, and all critical points lie in the convex hull of the
 centres.  The finder runs damped Newton on grad phi from pairwise midpoints,
-triple centroids and random hull samples, then merges duplicates.
+triple centroids and random hull samples, then keeps one point per cluster.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .convexity import _count, eigvals3_batch
 from .errors import InvalidIndex
-from .potential import PointConfiguration, jet
+from .potential import PointConfiguration, _count, jet
 
 __all__ = [
     "CriticalPoint",
@@ -31,8 +30,8 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10   # reported points satisfy |grad phi| <= tol * scale
 HULL_TOL = 1e-8        # convex-hull membership slack, times (1 + diameter)
-MERGE_SCALE = 1e-6     # duplicates merged within this times diameter
-CLUSTER_SCALE = 1e-3   # representatives closer than this are flagged non-isolated
+MERGE_SCALE = 1e-6     # clusters spread beyond this times diameter are non-isolated
+CLUSTER_SCALE = 1e-3   # points within this times diameter share one representative
 
 
 @dataclass(frozen=True)
@@ -55,9 +54,10 @@ class CriticalPoint:
     """A zero of grad phi.
 
     residual is |grad phi| at x; length the geodesic length 2 pi/sqrt(phi);
-    hessian_signature the (negative, zero, positive) inertia of Hess phi;
-    isolated is False when another representative sits suspiciously close
-    (symmetric configs can have positive-dimensional critical sets).
+    hessian_signature the (negative, zero, positive) inertia of Hess phi,
+    zero meaning within 1e-8 sum_i c_i/|x - p_i|^3 or more; isolated is False
+    when x stands for Newton limits spread beyond MERGE_SCALE times the
+    diameter (a degenerate zero, a critical curve, or nearby zeros).
     """
 
     x: np.ndarray
@@ -187,22 +187,16 @@ def _newton_batch(config: PointConfiguration, seeds: np.ndarray) -> np.ndarray:
     return np.vstack([np.zeros((0, 3)), *done])
 
 
-def _distances(P: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """|P_i - x| per row: the matmul norm takes np.linalg.norm's dot-product
-    bits, which a row sum of squares does not."""
-    d = P - x
-    return np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0]
-
-
 def find_critical_points(
     config: PointConfiguration, seeds: SeedStrategy = SeedStrategy()
 ) -> list[CriticalPoint]:
-    """Deduplicated Newton-converged zeros of grad phi.
+    """Newton-converged zeros of grad phi, one per cluster.
 
     Seeds: all pairwise midpoints, all triple centroids, plus random convex
     combinations of the centres.  Per-seed convergence failures are dropped
-    silently; reported points satisfy |grad phi| <= 1e-10 * scale.  Output
-    is sorted lexicographically by coordinates for determinism.
+    silently; reported points satisfy |grad phi| <= 1e-10 * scale.  Each
+    reported point is the least-residual Newton limit of its cluster, and
+    the output is sorted lexicographically by coordinates for determinism.
     """
     k = config.k
     if k <= 1:
@@ -222,49 +216,52 @@ def find_critical_points(
     converged = _newton_batch(config, np.array(seed_list))
 
     # one order-2 pass: the filter at the contract tolerance, then the
-    # values and Hessians of the representatives it keeps
-    _, scale, vals, grads, hesss = _jet(config, converged, 2)
+    # values, Hessians and Hessian scales of the representatives it keeps
+    dmin, scale, vals, grads, hesss = _jet(config, converged, 2)
     res = np.linalg.norm(grads, axis=1)
     order = np.lexsort((converged[:, 2], converged[:, 1], converged[:, 0]))
     order = order[res[order] <= RESIDUAL_TOL * scale[order]]
 
-    # merge duplicates within 1e-6 * diameter, deterministically: in
-    # lexicographic order, each point joins the first representative within
-    # merge_tol and replaces it if its residual is lower
+    # one lexicographic pass: each point joins the first representative
+    # within cluster_tol and replaces it if its residual is lower; one that
+    # takes in a point farther than merge_tol stands for a cluster
     merge_tol = MERGE_SCALE * max(config.diameter, 1e-30)
+    cluster_tol = CLUSTER_SCALE * max(config.diameter, 1e-30)
     reps: list[int] = []
     rep_pts = np.empty((order.size, 3))
+    isolated = np.ones(order.size, dtype=bool)
     for idx in order:
-        near = np.nonzero(_distances(rep_pts[:len(reps)], converged[idx]) < merge_tol)[0]
+        dist = np.linalg.norm(rep_pts[:len(reps)] - converged[idx], axis=1)
+        near = np.nonzero(dist < cluster_tol)[0]
         if not near.size:
             rep_pts[len(reps)] = converged[idx]
             reps.append(idx)
-        elif res[idx] < res[reps[near[0]]]:
-            rep_pts[near[0]] = converged[idx]
-            reps[near[0]] = idx
-    reps.sort(key=lambda t: tuple(converged[t]))
-    reps_pts = converged[reps]
+            continue
+        n = near[0]
+        isolated[n] &= dist[n] < merge_tol
+        if res[idx] < res[reps[n]]:
+            rep_pts[n] = converged[idx]
+            reps[n] = idx
+    ranks = sorted(range(len(reps)), key=lambda n: tuple(rep_pts[n]))
+    reps = [reps[n] for n in ranks]
 
+    # an eigenvalue is zero against 2 scale / dmin >= sum c_i / |x - p_i|^3,
+    # the Hessian's own size, which does not vanish where Hess phi does
     hull_tol = HULL_TOL * (1.0 + config.diameter)
-    cluster_tol = CLUSTER_SCALE * max(config.diameter, 1e-30)
-    lam = eigvals3_batch(hesss[reps])
-    zero_tol = 1e-8 * np.maximum(np.abs(lam).max(axis=1), 1e-300)[:, None]
+    lam = np.linalg.eigvalsh(hesss[reps])
+    zero_tol = (2e-8 * scale[reps] / dmin[reps])[:, None]
     sigs = np.stack([lam < -zero_tol, np.abs(lam) <= zero_tol, lam > zero_tol]).sum(axis=2)
-    out = []
-    for n, (r, x) in enumerate(zip(reps, reps_pts)):
-        near = _distances(reps_pts, x) < cluster_tol
-        near[n] = False
-        out.append(
-            CriticalPoint(
-                x=x.copy(),
-                residual=float(np.linalg.norm(grads[r])),
-                length=2.0 * math.pi / math.sqrt(float(vals[r])),
-                in_hull=in_convex_hull(config.points, x, hull_tol),
-                hessian_signature=tuple(int(c) for c in sigs[:, n]),
-                isolated=not near.any(),
-            )
+    return [
+        CriticalPoint(
+            x=converged[r].copy(),
+            residual=float(np.linalg.norm(grads[r])),
+            length=2.0 * math.pi / math.sqrt(float(vals[r])),
+            in_hull=in_convex_hull(config.points, converged[r], hull_tol),
+            hessian_signature=tuple(int(c) for c in sig),
+            isolated=bool(isolated[n]),
         )
-    return out
+        for n, r, sig in zip(ranks, reps, sigs.T)
+    ]
 
 
 def invariant_surface_area(config: PointConfiguration, i: int, j: int) -> float:

@@ -66,6 +66,15 @@ def _unit(w: Any, what: str) -> np.ndarray:
     return w / n
 
 
+def _count(value, least: int, what: str) -> int:
+    """value as a Python int >= least: InvalidParams for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParams(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidParams(f"{what} must be >= {least}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PointConfiguration:
     """Immutable centre data (m, {p_i}, {c_i}) of a Gibbons-Hawking potential.

@@ -230,6 +230,17 @@ def test_eigensum_definitions():
         k_smallest_eigensum(np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]), 1)
 
 
+def test_eigensum_asymmetry_is_relative_to_the_largest_entry():
+    # a tiny matrix is judged against its own entries: read by its upper
+    # triangle, this one would give -1e-13 and its transpose 0.0
+    S = np.array([[0.0, 1e-13, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for bad in (S, S.T):
+        with pytest.raises(NotSymmetric):
+            k_smallest_eigensum(bad, 1)
+    assert k_smallest_eigensum(np.zeros((3, 3)), 1) == 0.0
+    assert k_smallest_eigensum(1e-13 * np.eye(3) + 1e-13 * S, 1) == pytest.approx(1e-13)
+
+
 def test_brute_force_upper_bounds_eigensum():
     rng = np.random.default_rng(1)
     for trial, S in enumerate(random_symmetric(rng, 30)):

@@ -8,6 +8,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghconvex import (
     InvalidIndex,
@@ -26,11 +28,19 @@ from ghconvex.potential import jet
 from conftest import random_config
 
 
+TETRAHEDRON = [(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)]
+OCTAHEDRON = [(1.0, 0, 0), (-1.0, 0, 0), (0, 1.0, 0), (0, -1.0, 0), (0, 0, 1.0), (0, 0, -1.0)]
+CUBE = list(itertools.product((-1.0, 1.0), repeat=3))
+
+
 def _cube(shift):
     """Unit centres at the vertices of [-1, 1]^3, each moved by up to shift."""
     rng = np.random.default_rng(3)
-    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
-    return make_config(0.0, [(p + shift * rng.uniform(-1.0, 1.0, 3), 1) for p in corners])
+    return make_config(0.0, [(np.array(p) + shift * rng.uniform(-1.0, 1.0, 3), 1) for p in CUBE])
+
+
+def _unit_centres(corners):
+    return make_config(0.0, [(p, 1) for p in corners])
 
 
 # SHA-256 of find_critical_points' outputs (x bytes, residual, length,
@@ -38,7 +48,11 @@ def _cube(shift):
 # Captured from the finder that halved its line-search steps one kernel call
 # at a time and merged in nested Python loops: a rewrite of the search or
 # the bookkeeping may change speed, not bits.  Like the jet digests they
-# belong to numpy 2.4.6 and scipy 1.17.1 (HiGHS decides in_hull).
+# belong to numpy 2.4.6 and scipy 1.17.1 (HiGHS decides in_hull).  The exact
+# cube, tetrahedron and octahedron were captured once the finder kept one
+# representative per cluster: the cube's 890 points became its 12 isolated
+# saddles and the least-residual point of the cluster at its centre, with
+# the same x, residual, length and in_hull bytes.
 FINDER_CASES = {
     "random6-m0": (
         lambda: random_config(np.random.default_rng(1), k=6, mass=0.0, max_mult=1),
@@ -78,10 +92,18 @@ FINDER_CASES = {
         ),
         "42bf7d17f72e2295bc9cd66abfb207714deda63a53e034722fbcf26a516af1d5",
     ),
-    "cube": (lambda: _cube(0.0), "1531b4506799f37c9d01f0f0b21639cbf60dabf23f9b2d746f68ad013dd603c2"),
+    "cube": (lambda: _cube(0.0), "38c4504551c5718a9bbfa476b213d658181510ffc03a317008c058170f99b9e5"),
     "cube-perturbed": (
         lambda: _cube(0.03),
         "bf6a43d2ca2f7a48c46e4cb127b042841771b4bb11b5402e8cc0c7d3ff736397",
+    ),
+    "tetrahedron": (
+        lambda: _unit_centres(TETRAHEDRON),
+        "24d26bd00176e0b33ad02710da7361458a8eb19c7dbf517f9261d5eb85e078aa",
+    ),
+    "octahedron": (
+        lambda: _unit_centres(OCTAHEDRON),
+        "5da611d0d29599e399a84bf720f0c5312be82d3960de073e7406eb708d43a8d8",
     ),
 }
 
@@ -102,14 +124,84 @@ def test_critical_points_bits_are_pinned(name):
 
 def test_generic_corpus_bits_are_pinned():
     # 24 seeded generic configurations, k = 2..9, mixed masses and
-    # multiplicities, hashed as FINDER_CASES; captured before the finder
-    # merged and flagged its points in one pass, which keeps these bits
+    # multiplicities, hashed as FINDER_CASES: a rewrite of how the finder
+    # merges and flags its points keeps these bits
     rng = np.random.default_rng(2024)
     h = hashlib.sha256()
     for _ in range(24):
         cfg = random_config(rng, k=int(rng.integers(2, 10)), max_mult=3)
         _digest(h, find_critical_points(cfg))
     assert h.hexdigest() == "c461e0c9b87c7a849c6bc6faa41c691927b876e72e35f2d1659c2af9d1140c1c"
+
+
+EXACT = pytest.mark.parametrize(
+    "corners, count",
+    [(TETRAHEDRON, 1), (CUBE, 13), (OCTAHEDRON, 1)],
+    ids=["tetrahedron", "cube", "octahedron"],
+)
+
+
+def _generic(seed, k):
+    return random_config(np.random.default_rng(seed), k=k, max_mult=3)
+
+
+def _permuted(cfg, perm):
+    return make_config(cfg.mass, [(cfg.points[i], int(cfg.multiplicities[i])) for i in perm])
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 8))
+def test_index_sum_is_k_minus_one(seed, k):
+    """Poincare-Hopf: grad phi has degree -1 on a large sphere and on a small
+    sphere round each centre, so over R^3 minus the centres its indices sum
+    to k - 1 (J. Milnor, Topology from the Differentiable Viewpoint, 1965,
+    section 6).  Hess phi is traceless, so a nondegenerate zero has
+    signature (2, 0, 1), index +1, or (1, 0, 2), index -1."""
+    sigs = [p.hessian_signature for p in find_critical_points(_generic(seed, k))]
+    assert set(sigs) <= {(2, 0, 1), (1, 0, 2)}
+    assert sigs.count((2, 0, 1)) - sigs.count((1, 0, 2)) == k - 1
+
+
+@settings(derandomize=True, database=None, max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 8), perm_seed=st.integers(0, 2 ** 32 - 1))
+def test_permuting_generic_centres_keeps_the_points(seed, k, perm_seed):
+    cfg = _generic(seed, k)
+    a = find_critical_points(cfg)
+    b = find_critical_points(_permuted(cfg, np.random.default_rng(perm_seed).permutation(k)))
+    assert len(a) == len(b)
+    for p, q in zip(a, b):
+        assert np.abs(p.x - q.x).max() <= 1e-12 * (1.0 + cfg.diameter)
+        assert (p.hessian_signature, p.in_hull, p.isolated) == (q.hessian_signature, q.in_hull, q.isolated)
+
+
+@EXACT
+def test_permuting_exact_centres_keeps_the_points(corners, count):
+    # points of the exact configurations sit on coordinate planes, where the
+    # lexicographic order follows round-off: compare them as multisets
+    def summary(cfg):
+        return sorted((p.hessian_signature, p.in_hull, p.isolated) for p in find_critical_points(cfg))
+
+    want = summary(_unit_centres(corners))
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        assert summary(_unit_centres([corners[i] for i in rng.permutation(len(corners))])) == want
+
+
+@EXACT
+def test_exact_configurations_keep_one_point_per_critical_set(corners, count):
+    # each has a degenerate zero at its centre, where Hess phi = 0 by
+    # symmetry and Newton converges only linearly; a traceless Hessian
+    # cannot have signature (0, 0, 3) or (3, 0, 0)
+    pts = find_critical_points(_unit_centres(corners))
+    assert len(pts) == count
+    assert not {p.hessian_signature for p in pts} & {(0, 0, 3), (3, 0, 0)}
+
+
+@EXACT
+def test_exact_configurations_keep_their_points_in_the_hull(corners, count):
+    # near the octahedron's centre the linear program's 1e-7 feasibility
+    # slack exceeds the hull tolerance
+    assert all(p.in_hull for p in find_critical_points(_unit_centres(corners)))
 
 
 @pytest.mark.parametrize("name", ["random6-m0", "random6-m1-mult"])

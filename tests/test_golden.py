@@ -6,10 +6,11 @@ stderr and ``tests/golden/<name>.out``, the exact stdout.  The goldens change
 only on purpose: after an intended output change, regenerate them from the
 repository root with
 
-    PYTHONPATH=src python tests/test_golden.py --regenerate
+    PYTHONPATH=src python tests/test_golden.py --regenerate [NAME...]
 
-and review the diff.  New cases go into cases.json (name and argv; the
-regeneration fills in exit code and stderr).
+and review the diff.  Named cases are rewritten alone; with no name, every
+case is.  New cases go into cases.json (name and argv; the regeneration
+fills in exit code and stderr).
 """
 from __future__ import annotations
 
@@ -44,15 +45,21 @@ def test_cli_output_matches_golden(case, monkeypatch):
     assert out.encode() == (GOLDEN / f"{case['name']}.out").read_bytes()
 
 
-def regenerate() -> None:
+def regenerate(names: list[str]) -> None:
+    """Rewrite the named cases, or every case when names is empty."""
+    unknown = set(names) - {case["name"] for case in CASES}
+    if unknown:
+        sys.exit(f"no such golden case: {', '.join(sorted(unknown))}")
     os.chdir(ROOT)
     for case in CASES:
+        if names and case["name"] not in names:
+            continue
         out, case["stderr"], case["exit"] = run_case(case["argv"])
         (GOLDEN / f"{case['name']}.out").write_bytes(out.encode())
     (GOLDEN / "cases.json").write_text(json.dumps(CASES, indent=2) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --regenerate")
-    regenerate()
+    if sys.argv[1:2] != ["--regenerate"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --regenerate [NAME...]")
+    regenerate(sys.argv[2:])
