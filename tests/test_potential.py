@@ -203,9 +203,14 @@ def test_single_rows_match_batch_with_many_centres(k):
 # SHA-256 of jet's outputs at orders 0, 1 and 2, in that order, for each
 # (centres, rows) case of _digest_case, with the gradient scale at order 1
 # hashed as absent: no caller reads it there.  Captured from the kernel that
-# still computed it at order 1; like the goldens in tests/golden, they
-# belong to numpy 2.4.6, whose reduction order they record.
+# still computed it at order 1 (the (6, 2), (6, 3) and (6, 7) cases, one
+# block 2-7 rows wide, from the kernel before its sums became einsum
+# contractions); like the goldens in tests/golden, they belong to numpy
+# 2.4.6, whose reduction order they record.
 JET_DIGESTS = {
+    (6, 2): "596cec035ae1a5eff93d412ceae8e7536f182b7d70f7e644f05f8a3044578502",
+    (6, 3): "bac5651d8b8c519321216831967dc2648ec60e18913ffcc14f9b781431a30635",
+    (6, 7): "e977c59113c3386a66a0e505225676b4565c2fe4c78c177da0c0f795062594ff",
     (1, 32767): "06a948c20e6f9437c2cb0f99d3a0d723b6e5f09e61158f1a6d5ded756f669dcd",
     (1, 32768): "04e07d8e381a116dc4f3ef28116440bc5821c669a2d8d9e3c171d8d43cd27cb3",
     (1, 32769): "e7f1862c2b9e80fdc1a7f34c70385fd7191b728ec254a76e060cd2f89cd1c1e3",
@@ -235,18 +240,35 @@ def _digest_case(k, n):
     return cfg, xs
 
 
+def _jet_digest(cfg, xs):
+    h = hashlib.sha256()
+    for order in (0, 1, 2):
+        out = potential.jet(cfg.mass, cfg.points, cfg.multiplicities, xs, order)
+        for i, a in enumerate(out):
+            h.update(b"-" if a is None or (order, i) == (1, 1) else a.tobytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("k, n", sorted(JET_DIGESTS))
 def test_jet_bits_are_pinned(k, n):
     """The kernel's outputs are byte-identical to the digests: a rewrite of
     its arithmetic may change speed and memory, not bits."""
     cfg, xs = _digest_case(k, n)
-    h = hashlib.sha256()
-    for order in (0, 1, 2):
-        out = potential.jet(cfg.mass, cfg.points, cfg.multiplicities, xs, order)
-        assert out[0][n // 2] <= cfg.exclusion_radius
-        for i, a in enumerate(out):
-            h.update(b"-" if a is None or (order, i) == (1, 1) else a.tobytes())
-    assert h.hexdigest() == JET_DIGESTS[k, n]
+    assert potential.jet(cfg.mass, cfg.points, cfg.multiplicities, xs, 0)[0][n // 2] \
+        <= cfg.exclusion_radius
+    assert _jet_digest(cfg, xs) == JET_DIGESTS[k, n]
+
+
+def test_jet_bits_on_the_axis_are_pinned():
+    """Rows (-0.0, -0.0, t) on the axis through the centres, two of them with
+    -0.0 coordinates: every x and y difference is a signed zero, and the
+    sums over the centres keep numpy's sign of zero.  Captured with the
+    (6, 2)-(6, 7) digests."""
+    cfg = make_config(1.0, [((0.0, 0.0, -2.0), 1), ((-0.0, 0.0, 0.5), 2), ((0.0, -0.0, 3.0), 3)])
+    xs = np.zeros((37, 3))
+    xs[:, :2] = -0.0
+    xs[:, 2] = np.linspace(-5.0, 5.0, 37)
+    assert _jet_digest(cfg, xs) == "6dc1c221904981deedee3a2d78de3060855a9d0c77556990533439f55fb6f599"
 
 
 @pytest.mark.parametrize("k", [6, 50, 200])
