@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidK, InvalidParams, OnAxis
-from .potential import PointConfiguration, _unit, _vec3, phi_jet_batch
+from .potential import PointConfiguration, _count, _unit, _vec3, phi_jet_batch
 from .rootfind import bisect_newton
 from .surfaces import _orthobasis
 
@@ -235,7 +235,7 @@ def codim2_threshold(config: PointConfiguration) -> float:
 
 def _directions(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    d = rng.standard_normal((n, 3))
+    d = rng.standard_normal((_count(n, 1, "n_dirs"), 3))
     norms = np.linalg.norm(d, axis=1)
     good = norms > 1e-12
     return d[good] / norms[good, None]
@@ -275,7 +275,7 @@ def cylinder_margin_curve(
     span = 2.0 * (1.0 + config.diameter)
     b1, b2 = _orthobasis(w)
     rng = np.random.default_rng(seed)
-    ang = rng.uniform(0.0, 2.0 * math.pi, n_samples)
+    ang = rng.uniform(0.0, 2.0 * math.pi, _count(n_samples, 1, "n_samples"))
     ts = rng.uniform(-span, span, n_samples)
     rad = np.cos(ang)[:, None] * b1 + np.sin(ang)[:, None] * b2
     return _sweep(radii, lambda r: q + r * rad + ts[:, None] * w,
@@ -297,7 +297,7 @@ def plane_margin_curve(
     d = _unit(direction, "plane direction")
     thr = float((config.points @ d).max()) if config.k else 0.0
     t1, t2 = _orthobasis(d)
-    st = np.random.default_rng(seed).uniform(-10.0, 10.0, (n_samples, 2))
+    st = np.random.default_rng(seed).uniform(-10.0, 10.0, (_count(n_samples, 1, "n_samples"), 2))
     return _sweep(offsets, lambda off: off * d + st[:, :1] * t1 + st[:, 1:] * t2,
                   lambda xs: plane_hyp_margin_batch(config, xs, d), thr)
 

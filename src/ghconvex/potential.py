@@ -193,7 +193,7 @@ def jet(
     n = xs.shape[0]
     block = block_rows(len(multiplicities))
     if n % block == 1:
-        # numpy sums a lone column pairwise but wider blocks row by row: a
+        # numpy sums a lone column in another order than wider blocks: a
         # duplicate row keeps a one-row block on the order of every other
         xs = np.vstack([xs, xs[-1:]])
     rows = xs.shape[0]
@@ -207,59 +207,40 @@ def jet(
     k = c.shape[0]
     # the workspace, allocated once per call at the first block's width: the
     # differences x - p_i as one (3, k, width) array, and the 1/r and weight
-    # blocks, with a product block only at order 2
-    nb = 3 if order >= 2 else 2
+    # blocks
     size = k * min(block, rows)
-    work = np.empty((3 + nb) * size)
+    work = np.empty(5 * size)
     diffs, blocks = work[:3 * size], work[3 * size:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lo in range(0, rows, block):
             s = slice(lo, lo + block)
-            # centre-major (k, width) blocks reduced over the centre axis, so
-            # numpy's inner loops run over the rows
+            # centre-major (k, width) blocks contracted over the centre axis,
+            # which einsum sums centre by centre, as numpy's axis-0 sums do
             xt = np.ascontiguousarray(xs[s].T)
             width = xt.shape[1]
             m = k * width
             d = diffs[:3 * m].reshape(3, k, width)
-            b = blocks[:nb * m].reshape(nb, k, width)
-            inv_r, w = b[0], b[1]
+            inv_r, w = blocks[:2 * m].reshape(2, k, width)
             np.subtract(xt[:, None, :], pc, out=d)         # x - p_i, once per block
-            np.multiply(d[0], d[0], out=inv_r)             # r^2, then 1/r, then 1/r^2
-            np.multiply(d[1], d[1], out=w)
-            inv_r += w
-            np.multiply(d[2], d[2], out=w)
-            inv_r += w
+            np.einsum("ikr,ikr->kr", d, d, out=inv_r)      # r^2, then 1/r, then 1/r^2
             dmin[s] = np.sqrt(inv_r.min(axis=0, initial=np.inf))
             np.sqrt(inv_r, out=inv_r)
             np.divide(1.0, inv_r, out=inv_r)
             np.multiply(c, inv_r, out=w)                   # c / r
             vals[s] += 0.5 * w.sum(axis=0)
             if order != 1:
-                # c / r^2 for the scale: in place at order 0, into the
-                # product block at order 2, where c / r is read again
-                np.multiply(w, inv_r, out=b[-1])
-                scale[s] = 0.5 * b[-1].sum(axis=0)
+                scale[s] = 0.5 * np.einsum("kr,kr->r", w, inv_r)   # c / r^2
             if order >= 1:
                 inv_r *= inv_r
                 w *= inv_r                                  # c / r^3 = (c / r) (1/r)^2
-            if order == 1:
-                # the differences are not needed again: weight them in place
-                # and sum all three over the centres, into the gradient rows
-                d *= w
-                grads[s] = (-0.5 * d.sum(axis=1)).T
-            elif order >= 2:
-                t = b[2]
-                for i in range(3):
-                    np.multiply(d[i], w, out=t)
-                    grads[s, i] = -0.5 * t.sum(axis=0)
+                grads[s] = (-0.5 * np.einsum("ikr,kr->ir", d, w)).T
+            if order >= 2:
                 # Hessian of c/(2r): (c/2) (3 d d^T / r^5 - I / r^3), entry by entry
                 trace_part = 0.5 * w.sum(axis=0)
                 w *= inv_r                                  # c / r^5
                 for i in range(3):
-                    np.multiply(d[i], w, out=t)
                     for j in range(i, 3):
-                        np.multiply(d[j], t, out=inv_r)
-                        hesss[s, i, j] = hesss[s, j, i] = 1.5 * inv_r.sum(axis=0)
+                        hesss[s, i, j] = hesss[s, j, i] = 1.5 * np.einsum("kr,kr,kr->r", d[i], w, d[j])
                     hesss[s, i, i] -= trace_part
     return tuple(a if a is None else a[:n] for a in (dmin, scale, vals, grads, hesss))
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .barriers import constant_Rk
 from .errors import InvalidIndex, InvalidParams, SingularPoint
-from .potential import PointConfiguration, jet, make_config
+from .potential import PointConfiguration, _count, jet, make_config
 from .surfaces import _orthobasis
 
 __all__ = [
@@ -160,8 +160,7 @@ def strong_stability_scan(seg: SegmentSurface, n: int = 500) -> tuple[float, flo
     satellite influence peaks.  Raises SingularPoint if a satellite sits
     within delta of the segment (the curvature formula degenerates).
     """
-    if n < 100:
-        raise InvalidParams(f"need n >= 100 samples, got {n}")
+    n = _count(n, 100, "n")
     if seg.satellites.shape[0] and float(seg._seg_dist.min()) < seg.delta:
         raise SingularPoint("a centre lies within delta of the segment")
     half = seg.a - seg.delta

@@ -281,6 +281,21 @@ def test_cylinder_and_plane_margin_curves():
         assert pt.margin > 0
 
 
+@pytest.mark.parametrize("count", [0, 2.5])
+@pytest.mark.parametrize("curve", [
+    lambda cfg, n: sphere_margin_curve(cfg, [5.0], n_dirs=n),
+    lambda cfg, n: codim2_margin_curve(cfg, [5.0], n_dirs=n),
+    lambda cfg, n: cylinder_margin_curve(cfg, [5.0], n_samples=n),
+    lambda cfg, n: plane_margin_curve(cfg, (0.0, 0.0, 1.0), [5.0], n_samples=n),
+], ids=["sphere", "codim2", "cylinder", "plane"])
+def test_margin_curves_reject_bad_sample_counts(curve, count):
+    """A count below one or not an integer is InvalidParams, not a numpy
+    error from an empty or fractional sample."""
+    cfg = make_config(0.0, [((0.0, 0.0, 1.0), 1), ((0.0, 0.0, -1.0), 1)])
+    with pytest.raises(InvalidParams, match="must be"):
+        curve(cfg, count)
+
+
 def test_margin_frames_reject_bad_vectors():
     cfg = make_config(0.0, [((0.0, 0.0, 1.0), 1), ((0.0, 0.0, -1.0), 1)])
     with pytest.raises(InvalidParams, match="plane direction must be nonzero"):

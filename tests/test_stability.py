@@ -201,8 +201,9 @@ def test_segment_surface_validation():
     seg = SegmentSurface(cfg, 0, 1)
     with pytest.raises(SingularPoint):
         gaussian_curvature_direct_batch(seg, [1.0])
-    with pytest.raises(InvalidParams):
-        strong_stability_scan(seg, 50)
+    for n in (50, 150.5):
+        with pytest.raises(InvalidParams):
+            strong_stability_scan(seg, n)
 
 
 def test_tilted_segment_matches_axis_aligned():
